@@ -1,8 +1,8 @@
 // Serving walkthrough: build the routing scheme once, freeze it into flat
 // tables, save them to disk, load them back (as a restarted server would —
 // both the owning load and the zero-copy mmap), and answer batches of
-// route queries from the frozen state alone — no graph object, no rebuild,
-// finally through the sharded front-end that scales serving across cores.
+// route queries from the frozen state alone — no graph object, no rebuild —
+// through the sharded front-end that scales serving across cores.
 //
 //   $ ./examples/route_server
 //
@@ -14,7 +14,6 @@
 #include "graph/generators.h"
 #include "graph/shortest_paths.h"
 #include "serve/frozen.h"
-#include "serve/server.h"
 #include "serve/shard.h"
 
 int main() {
@@ -56,11 +55,14 @@ int main() {
               mapped.save() == frozen.save() ? "yes" : "NO");
 
   // 5. Serve: batched decision queries, answered purely from the frozen
-  //    tables — here 2 worker threads with a small (vertex, tree) cache.
-  serve::ServerOptions opt;
-  opt.threads = 2;
-  opt.cache_entries = 1024;
-  const serve::RouteServer server(tables, opt);
+  //    tables by the sharded front-end. It partitions the vertex space into
+  //    contiguous ranges, one worker thread per shard (up to the core
+  //    count), all serving the same mmap'ed image with a small per-worker
+  //    (vertex, tree) cache. Answers land in submission order.
+  serve::ShardedOptions sopt;
+  sopt.shards = 2;
+  sopt.cache_entries = 1024;
+  serve::ShardedRouteServer server(mapped, sopt);
   std::vector<serve::Query> batch;
   util::Rng qrng(99);
   for (int i = 0; i < 10000; ++i) {
@@ -70,13 +72,34 @@ int main() {
   std::vector<serve::Decision> answers;
   server.serve(batch, answers);
 
-  const auto stats = server.stats();
+  const auto totals = server.totals();
   std::printf("served %lld queries, %lld next-hop decisions, "
               "cache hit rate %.1f%%\n",
-              static_cast<long long>(stats.queries),
-              static_cast<long long>(stats.hops),
-              100.0 * static_cast<double>(stats.cache_hits) /
-                  static_cast<double>(stats.cache_hits + stats.cache_misses));
+              static_cast<long long>(totals.queries),
+              static_cast<long long>(totals.hops),
+              100.0 * static_cast<double>(totals.cache_hits) /
+                  static_cast<double>(totals.cache_hits +
+                                      totals.cache_misses));
+  for (int s = 0; s < server.shards(); ++s) {
+    const auto st = server.shard_stats(s);
+    std::printf("  shard %d: %lld queries, %lld decisions, p50 %.1fus "
+                "p99 %.1fus\n",
+                s, static_cast<long long>(st.queries),
+                static_cast<long long>(st.hops), st.p50_us, st.p99_us);
+  }
+
+  // The same batch through the single-thread engine on the owning load:
+  // every answer is identical.
+  std::vector<serve::Decision> direct(batch.size());
+  tables.route_batch(batch.data(), batch.size(), direct.data());
+  bool same = true;
+  for (std::size_t i = 0; same && i < answers.size(); ++i) {
+    same = direct[i].length == answers[i].length &&
+           direct[i].hops == answers[i].hops;
+  }
+  std::printf("sharded x%d over mmap vs single-thread route_batch: "
+              "identical answers: %s\n",
+              server.shards(), same ? "yes" : "NO");
 
   // One decision in detail, checked against the true distance.
   const auto& q = batch[0];
@@ -93,31 +116,6 @@ int main() {
   // What a connecting peer would receive: the destination's wire label.
   std::printf("wire label of %d: %zu bytes\n", q.v,
               tables.label_blob(q.v).size());
-
-  // 6. Scale out: the sharded front-end partitions the vertex space into
-  //    contiguous ranges, one worker thread per shard, all serving the
-  //    same mmap'ed image. Answers are identical to step 5 and land in
-  //    submission order; per-shard counters show the traffic split.
-  serve::ShardedOptions sopt;
-  sopt.shards = 2;
-  sopt.cache_entries = 1024;
-  serve::ShardedRouteServer sharded(mapped, sopt);
-  std::vector<serve::Decision> sharded_answers;
-  sharded.serve(batch, sharded_answers);
-  bool same = sharded_answers.size() == answers.size();
-  for (std::size_t i = 0; same && i < answers.size(); ++i) {
-    same = sharded_answers[i].length == answers[i].length &&
-           sharded_answers[i].hops == answers[i].hops;
-  }
-  std::printf("sharded x%d over mmap: identical answers: %s\n",
-              sharded.shards(), same ? "yes" : "NO");
-  for (int s = 0; s < sharded.shards(); ++s) {
-    const auto st = sharded.shard_stats(s);
-    std::printf("  shard %d: %lld queries, %lld decisions, p50 %.1fus "
-                "p99 %.1fus\n",
-                s, static_cast<long long>(st.queries),
-                static_cast<long long>(st.hops), st.p50_us, st.p99_us);
-  }
 
   std::remove(path.c_str());
   return 0;

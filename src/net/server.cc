@@ -895,7 +895,7 @@ struct Server::Impl {
         ServerInfo info;
         info.n = g->fs->n();
         info.k = g->fs->k();
-        info.image_version = g->fs->format_version();
+        info.image_version = serve::FrozenScheme::kFormatVersion;
         info.num_trees = g->fs->num_trees();
         info.window = static_cast<std::uint32_t>(opt.window);
         p->resp_type = FrameType::kHelloAck;
@@ -1361,6 +1361,15 @@ struct Server::Impl {
       if (nev < 0 && errno == EINTR) continue;
 
       // Mailbox first: adopt new sockets, finish completed batches.
+      // Ordering invariant: drain the wake eventfd *before* taking the
+      // inbox. Producers push under the mutex and then wake, so anything
+      // pushed after the swap below leaves the eventfd readable for the
+      // next epoll_wait. Draining after the swap would swallow the wake of
+      // a push that landed between the two steps, and its response would
+      // wait for some unrelated later event (or time out).
+      std::uint64_t tick = 0;
+      [[maybe_unused]] const auto r =
+          ::read(l.inbox->wakefd, &tick, sizeof(tick));
       std::vector<int> fds;
       std::vector<std::shared_ptr<Pending>> done;
       std::vector<std::pair<std::weak_ptr<Conn>, std::vector<std::uint8_t>>>
@@ -1371,9 +1380,6 @@ struct Server::Impl {
         done.swap(l.inbox->done);
         pushes.swap(l.inbox->push);
       }
-      std::uint64_t tick = 0;
-      [[maybe_unused]] const auto r =
-          ::read(l.inbox->wakefd, &tick, sizeof(tick));
       for (const int fd : fds) {
         if (draining.load(std::memory_order_relaxed)) {
           ::close(fd);

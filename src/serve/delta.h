@@ -44,9 +44,9 @@ struct DeltaStats {
 
 /// An immutable set of link overrides + the tree mask they induce over one
 /// FrozenScheme — the overlay the batch engine consults per hop
-/// (FrozenScheme::route_batch_overlay; DESIGN.md §13). Built only through
-/// apply(), which layers a batch of EdgeUpdates over a predecessor set and
-/// returns a *new* DeltaSet: readers of the predecessor are never
+/// (FrozenScheme::route_batch with an overlay; DESIGN.md §13). Built only
+/// through apply(), which layers a batch of EdgeUpdates over a predecessor
+/// set and returns a *new* DeltaSet: readers of the predecessor are never
 /// disturbed, which is what lets net::Server publish each applied batch as
 /// a refcounted generation while in-flight batches finish on the old one.
 ///

@@ -12,7 +12,7 @@
 namespace nors::serve {
 
 /// Answer of one frozen route(u, v) query: everything RouteResult reports
-/// except the explicit path (route() has an overload that also records it).
+/// except the explicit path (route() records it on request).
 /// One "decision" is one next-hop port evaluation, so decisions == hops on
 /// a completed walk — the quantity bench_serving rates.
 struct Decision {
@@ -30,11 +30,10 @@ struct Query {
   graph::Vertex v = graph::kNoVertex;
 };
 
-/// Counters a batch engine run reports back (route_batch and the cached
-/// variant). `completed`/`hops` cover queries answered so far, so on a
-/// mid-batch exception they describe exactly the prefix that finished.
-/// `masked`/`repaired` stay zero unless an overlay is interposed
-/// (route_batch_overlay, serve/delta.h): masked counts queries whose
+/// Counters a route_batch() run reports back. `completed`/`hops` cover
+/// queries answered so far, so on a mid-batch exception they describe
+/// exactly the prefix that finished. `masked`/`repaired` stay zero unless
+/// an overlay is interposed (serve/delta.h): masked counts queries whose
 /// tree choice skipped at least one masked tree (the fallback re-route),
 /// repaired counts queries that crossed at least one weight-patched link.
 struct BatchStats {
@@ -114,8 +113,8 @@ struct NoTableCache {
 /// by test_serve. route_batch() answers many queries through a software
 /// pipeline (stage machine per in-flight query with explicit prefetch one
 /// stage ahead), so the table-lookup cache misses of different queries
-/// overlap instead of serializing — the throughput path every serving
-/// front-end (RouteServer, ShardedRouteServer) runs on.
+/// overlap instead of serializing — the throughput path the serving
+/// front-end (ShardedRouteServer) runs on.
 ///
 /// Every slab is exposed as a std::span view; the bytes behind the views
 /// are either *owned* (freeze()/load() fill heap vectors) or *mapped*
@@ -126,13 +125,11 @@ struct NoTableCache {
 ///
 /// save()/load()/map() share a versioned little-endian binary format
 /// (magic NORSFRZ1, endianness tag, FNV-1a checksum; format spec in
-/// DESIGN.md §5.2/§10). Two on-disk versions are supported: version 2
-/// (fixed 80-byte table slots, fully mappable in place) and version 3
-/// (split table sections: raw i32 tree-key column + delta/varint-
-/// compressed slot columns — a substantially smaller image). load() and
-/// map() accept both; save() re-emits the version the instance came from
-/// (freeze() produces the latest), and save_as() converts. Per version,
-/// save→load→save and save→map→save are byte-identical.
+/// DESIGN.md §5.2/§10). One on-disk version is supported
+/// (kFormatVersion, 3): split table sections, a raw i32 tree-key column
+/// plus delta/varint-compressed slot columns. load() and map() reject
+/// every other version; save→load→save and save→map→save are
+/// byte-identical.
 class FrozenScheme {
  public:
   // ---------------------------------------------------------- slot PODs --
@@ -161,9 +158,8 @@ class FrozenScheme {
   /// The slab's sort key — the cluster-tree index — lives in the parallel
   /// table_tree() column, and all DFS-interval fields are int32: a DFS
   /// clock is bounded by the tree size, which is bounded by n, which is
-  /// itself an int32 (the narrowing is range-checked when a version-2
-  /// image, which stores these fields as int64, is decoded). 56 bytes =
-  /// at most two cache lines per decision, usually one.
+  /// itself an int32 (range-checked when the varint section is decoded).
+  /// 56 bytes = at most two cache lines per decision, usually one.
   struct TableSlot {
     std::int32_t local_a = 0;         // TZ interval of x in T_{w(x)}
     std::int32_t local_b = 0;
@@ -248,18 +244,18 @@ class FrozenScheme {
   /// WeightedGraph may be destroyed afterwards.
   static FrozenScheme freeze(const core::RoutingScheme& scheme);
 
-  /// Versioned binary image (format: DESIGN.md §5.2/§10). save() writes
-  /// the instance's own format version — the one it was loaded from, or
-  /// the latest for freeze() outputs; save_as() converts explicitly.
+  /// The one on-disk format version save() writes and load()/map() read.
+  static constexpr std::uint32_t kFormatVersion = 3;
+
+  /// Versioned binary image (format: DESIGN.md §5.2/§10).
   std::vector<std::uint8_t> save() const;
-  std::vector<std::uint8_t> save_as(std::uint32_t version) const;
 
   /// save() with the link-map weight column patched by `overrides`
   /// ((global link index, weight) pairs; negative weights — failures —
   /// are skipped, the image format has no failure notion). This is the
   /// checkpoint-compaction path (DESIGN.md §14): delta weight repairs are
-  /// baked into a fresh image in the instance's own format version, and
-  /// everything else is byte-identical to save().
+  /// baked into a fresh image, and everything else is byte-identical to
+  /// save().
   std::vector<std::uint8_t> save_with_link_weights(
       std::span<const std::pair<std::int64_t, graph::Dist>> overrides) const;
   static FrozenScheme load(const std::vector<std::uint8_t>& bytes);
@@ -269,54 +265,24 @@ class FrozenScheme {
   /// Zero-copy load: mmaps the NORSFRZ1 image at `path` read-only,
   /// validates the checksum against the mapped bytes, and binds slab
   /// views directly into the mapping wherever the wire layout matches the
-  /// in-memory one (labels, pools, tricks, link columns, blobs — and the
-  /// v3 tree-key column). Table slots are decoded/packed into owned
-  /// memory on both versions (v2 narrows 80-byte slots, v3 inflates the
-  /// varint columns). Rejects corrupt images exactly like load().
-  ///
-  /// Opt-in hugepage backing: with NORS_HUGEPAGES=1 in the environment,
-  /// the image is copied into hugepage-backed anonymous memory instead of
-  /// being file-mapped (MAP_HUGETLB when the system has reserved huge
-  /// pages, transparent-hugepage advice otherwise, plain pages as the
-  /// last resort) — trading zero-copy startup for far fewer TLB misses on
-  /// the ~100 MB serving working set. Serving behavior is identical.
+  /// in-memory one (labels, pools, tricks, link columns, blobs and the
+  /// tree-key column). Table slots are inflated from the varint section
+  /// into owned memory. Rejects corrupt images exactly like load().
   static FrozenScheme map(const std::string& path);
 
   /// True when the slabs alias an mmap'ed image rather than owned heap
   /// vectors (inspection/bench reporting only — serving is identical).
   bool is_mapped() const { return mapping_ != nullptr; }
 
-  /// True when map() placed the image in hugepage-backed memory
-  /// (NORS_HUGEPAGES=1 and at least the transparent-hugepage fallback
-  /// succeeded).
-  bool hugepage_backed() const;
-
-  /// The on-disk format version save() will emit (2 or 3).
-  std::uint32_t format_version() const { return format_version_; }
-
   // ------------------------------------------------------------ serving --
 
   /// Frozen route decision query; answers are identical to
   /// RoutingScheme::route() on the live scheme (length, hops, tree choice,
-  /// via_trick). Throws like the live walk on impossible states.
-  Decision route(graph::Vertex u, graph::Vertex v) const {
-    return route_with(
-        u, v,
-        [this](graph::Vertex x, std::int32_t tree) {
-          return table_slot(x, tree);
-        },
-        nullptr);
-  }
-
-  /// As route(), and also records the visited vertices (including u and v).
+  /// via_trick). `path`, if given, records the visited vertices (including
+  /// u and v). Throws like the live walk on impossible states.
   Decision route(graph::Vertex u, graph::Vertex v,
-                 std::vector<graph::Vertex>* path) const {
-    return route_with(
-        u, v,
-        [this](graph::Vertex x, std::int32_t tree) {
-          return table_slot(x, tree);
-        },
-        path);
+                 std::vector<graph::Vertex>* path = nullptr) const {
+    return route_core(u, v, NoOverlay{}, nullptr, path);
   }
 
   /// Software-pipelined batch engine (DESIGN.md §10): answers queries[i]
@@ -335,27 +301,19 @@ class FrozenScheme {
     route_batch_impl(queries, count, out, none, nov, stats);
   }
 
-  /// As route_batch(), resolving (vertex, tree) slab lookups through a
-  /// caller-owned cache first (serve/table_cache.h shape: probe()/
-  /// insert()); hit/miss counts land in `stats`.
-  template <typename Cache>
-  void route_batch_cached(const Query* queries, std::size_t count,
-                          Decision* out, Cache& cache,
-                          BatchStats* stats = nullptr) const {
-    NoOverlay none;
-    route_batch_impl(queries, count, out, cache, none, stats);
-  }
-
-  /// The delta-serving batch engine (DESIGN.md §13): identical pipeline,
-  /// but the tree scan skips trees the overlay masks (fallback re-route
-  /// through the surviving tree set) and every link crossing consults
-  /// link_patch() — failed links are never crossed (masking guarantees
-  /// it; the engine checks), weight patches rewrite the hop's length
-  /// contribution. With NoOverlay this is exactly route_batch_cached().
+  /// As route_batch(), with a caller-owned cache and an overlay
+  /// interposed. (vertex, tree) slab lookups resolve through `cache` first
+  /// (serve/table_cache.h shape: probe()/insert(); NoTableCache for none),
+  /// and hit/miss counts land in `stats`. Under a real overlay (DESIGN.md
+  /// §13; NoOverlay for none) the tree scan skips trees the overlay masks
+  /// (fallback re-route through the surviving tree set) and every link
+  /// crossing consults link_patch(): failed links are never crossed
+  /// (masking guarantees it; the engine checks), weight patches rewrite
+  /// the hop's length contribution.
   template <typename Cache, typename Overlay>
-  void route_batch_overlay(const Query* queries, std::size_t count,
-                           Decision* out, Cache& cache, const Overlay& ov,
-                           BatchStats* stats = nullptr) const {
+  void route_batch(const Query* queries, std::size_t count, Decision* out,
+                   Cache& cache, const Overlay& ov,
+                   BatchStats* stats = nullptr) const {
     route_batch_impl(queries, count, out, cache, ov, stats);
   }
 
@@ -365,12 +323,7 @@ class FrozenScheme {
   Decision route_overlay(graph::Vertex u, graph::Vertex v, const Overlay& ov,
                          OverlayTouch* touch = nullptr,
                          std::vector<graph::Vertex>* path = nullptr) const {
-    return route_core(
-        u, v,
-        [this](graph::Vertex x, std::int32_t tree) {
-          return table_slot(x, tree);
-        },
-        ov, touch, path);
+    return route_core(u, v, ov, touch, path);
   }
 
   /// Queries in flight per route_batch() engine round.
@@ -378,8 +331,8 @@ class FrozenScheme {
 
   /// Index into tables() of x's slab entry for cluster tree `tree`, or -1
   /// when x is not in that tree — a SIMD lower-bound scan over the slab's
-  /// run of the tree-key column (util/simd.h). This is the lookup
-  /// RouteServer's (vertex, tree) cache memoizes.
+  /// run of the tree-key column (util/simd.h). This is the lookup the
+  /// (vertex, tree) TableCache memoizes.
   std::int32_t table_index(graph::Vertex x, std::int32_t tree) const {
     const std::int64_t lo = table_off_[static_cast<std::size_t>(x)];
     const std::int64_t hi = table_off_[static_cast<std::size_t>(x) + 1];
@@ -396,25 +349,6 @@ class FrozenScheme {
     const std::int32_t idx = table_index(x, tree);
     return idx < 0 ? nullptr : &tables_[static_cast<std::size_t>(idx)];
   }
-
-  /// The core walk, parameterized over the (vertex, tree) → TableSlot*
-  /// lookup so callers can interpose a cache. Lookup must return nullptr
-  /// exactly when table_index() returns -1.
-  template <typename TableLookup>
-  Decision route_with(graph::Vertex u, graph::Vertex v, TableLookup&& lookup,
-                      std::vector<graph::Vertex>* path) const {
-    NoOverlay none;
-    return route_core(u, v, std::forward<TableLookup>(lookup), none, nullptr,
-                      path);
-  }
-
-  /// route_with() with an overlay interposed (see NoOverlay for the
-  /// concept): the generalization every route entry point compiles down
-  /// to.
-  template <typename TableLookup, typename Overlay>
-  Decision route_core(graph::Vertex u, graph::Vertex v, TableLookup&& lookup,
-                      const Overlay& ov, OverlayTouch* touch,
-                      std::vector<graph::Vertex>* path) const;
 
   // -------------------------------------------------------- inspection --
 
@@ -558,6 +492,13 @@ class FrozenScheme {
                          IndexLookup&& lookup, const Overlay& ov,
                          bool& fell_back, DestView& dest, Decision& r) const;
 
+  /// The scalar walk with an overlay interposed (see NoOverlay for the
+  /// concept): what route() and route_overlay() compile down to.
+  template <typename Overlay>
+  Decision route_core(graph::Vertex u, graph::Vertex v, const Overlay& ov,
+                      OverlayTouch* touch,
+                      std::vector<graph::Vertex>* path) const;
+
   template <typename Cache, typename Overlay>
   void route_batch_impl(const Query* queries, std::size_t count,
                         Decision* out, Cache& cache, const Overlay& ov,
@@ -569,12 +510,11 @@ class FrozenScheme {
   /// serving reads).
   void validate() const;
 
-  /// Shared body of save_as()/save_with_link_weights(): emits every
-  /// section from the instance except the link-weight column, which the
-  /// caller supplies (the unpatched adj_w_, or a patched copy).
-  std::vector<std::uint8_t> save_impl(std::uint32_t version,
-                                      std::span<const std::int64_t> adj_w)
-      const;
+  /// Shared body of save()/save_with_link_weights(): emits every section
+  /// from the instance except the link-weight column, which the caller
+  /// supplies (the unpatched adj_w_, or a patched copy).
+  std::vector<std::uint8_t> save_impl(
+      std::span<const std::int64_t> adj_w) const;
 
   /// Heap storage behind the views on the owning paths (freeze, load) —
   /// and, on the map() path, behind the packed table slots, which are
@@ -599,9 +539,7 @@ class FrozenScheme {
     std::vector<std::uint8_t> blobs;
   };
 
-  /// RAII image memory of the map() path: a read-only file mapping, or —
-  /// with NORS_HUGEPAGES=1 — an anonymous hugepage-backed copy of the
-  /// file (DESIGN.md §10.4).
+  /// RAII image memory of the map() path: a read-only file mapping.
   struct Mapping {
     Mapping() = default;
     Mapping(const Mapping&) = delete;
@@ -611,9 +549,7 @@ class FrozenScheme {
       return static_cast<const std::uint8_t*>(addr);
     }
     void* addr = nullptr;
-    std::size_t len = 0;        // image bytes
-    std::size_t map_len = 0;    // mapped bytes (≥ len; hugepage rounding)
-    bool huge = false;          // hugepage-backed (MAP_HUGETLB or THP)
+    std::size_t len = 0;  // image bytes
   };
 
   /// Points every span at the owned vectors.
@@ -627,7 +563,6 @@ class FrozenScheme {
   std::int32_t k_ = 0;
   std::int32_t label_trick_ = 0;
   std::int32_t num_trees_ = 0;
-  std::uint32_t format_version_ = 0;  // set by freeze()/load()/map()
 
   // Slab views — into storage_ (owning paths) or mapping_ (map()).
   std::span<const std::int32_t> level_;       // [n] hierarchy level
@@ -725,10 +660,9 @@ std::int32_t FrozenScheme::find_tree(graph::Vertex u, graph::Vertex v,
   return -1;  // coverage failure (prevented by build; possible under masks)
 }
 
-template <typename TableLookup, typename Overlay>
+template <typename Overlay>
 Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
-                                  TableLookup&& lookup, const Overlay& ov,
-                                  OverlayTouch* touch,
+                                  const Overlay& ov, OverlayTouch* touch,
                                   std::vector<graph::Vertex>* path) const {
   NORS_CHECK(u >= 0 && u < n_ && v >= 0 && v < n_);
   Decision r;
@@ -745,11 +679,7 @@ Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
   DestView dest;
   const std::int32_t tree = find_tree(
       u, v,
-      [&lookup](graph::Vertex x, std::int32_t t) {
-        // find_tree wants an index-or-negative probe; adapt the slot
-        // lookup (nullptr ⟺ not a member, per the route_with contract).
-        return lookup(x, t) == nullptr ? -1 : 0;
-      },
+      [this](graph::Vertex x, std::int32_t t) { return table_index(x, t); },
       ov, fell_back, dest, r);
   if (touch != nullptr) touch->fell_back = fell_back;
   if (tree < 0) return r;  // coverage failure (prevented by build)
@@ -757,7 +687,7 @@ Decision FrozenScheme::route_core(graph::Vertex u, graph::Vertex v,
   // Walk the unique tree path over the frozen link map.
   graph::Vertex x = u;
   while (x != v) {
-    const TableSlot* t = lookup(x, tree);
+    const TableSlot* t = table_slot(x, tree);
     NORS_CHECK_MSG(t != nullptr, "walk left cluster tree " << tree);
     const std::int32_t port = next_port(*t, x, dest);
     NORS_CHECK_MSG(port != graph::kNoPort, "router stalled before arrival");

@@ -179,15 +179,16 @@ void ShardedRouteServer::worker(Worker& w) {
         const auto t0 = clock::now();
         if (t.delta) {
           if (cached) {
-            fs_->route_batch_overlay(qbuf.data(), m, dbuf.data(), *cache,
-                                     *t.delta, &bs);
+            fs_->route_batch(qbuf.data(), m, dbuf.data(), *cache, *t.delta,
+                             &bs);
           } else {
             NoTableCache none;
-            fs_->route_batch_overlay(qbuf.data(), m, dbuf.data(), none,
-                                     *t.delta, &bs);
+            fs_->route_batch(qbuf.data(), m, dbuf.data(), none, *t.delta,
+                             &bs);
           }
         } else if (cached) {
-          fs_->route_batch_cached(qbuf.data(), m, dbuf.data(), *cache, &bs);
+          fs_->route_batch(qbuf.data(), m, dbuf.data(), *cache, NoOverlay{},
+                           &bs);
         } else {
           fs_->route_batch(qbuf.data(), m, dbuf.data(), &bs);
         }

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,9 +33,24 @@ std::vector<std::uint8_t> make_image(int n, int k, bool label_trick,
   return serve::FrozenScheme::freeze(core::RoutingScheme::build(g, p)).save();
 }
 
+/// Expects `body` to throw std::logic_error — whose message contains
+/// `want`, when given.
+template <typename Body>
+void expect_rejects(Body&& body, const char* what, const char* want) {
+  try {
+    body();
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const std::logic_error& e) {
+    if (want != nullptr) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << what << ": " << e.what();
+    }
+  }
+}
+
 /// Writes bytes to a temp file, expects map() to reject them, cleans up.
 void expect_map_rejects(const std::vector<std::uint8_t>& bytes,
-                        const char* what) {
+                        const char* what, const char* want = nullptr) {
   const std::string path = ::testing::TempDir() + "/nors_fuzz_map.bin";
   std::FILE* fp = std::fopen(path.c_str(), "wb");
   ASSERT_NE(fp, nullptr);
@@ -42,7 +58,7 @@ void expect_map_rejects(const std::vector<std::uint8_t>& bytes,
     ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), fp), bytes.size());
   }
   std::fclose(fp);
-  EXPECT_THROW(serve::FrozenScheme::map(path), std::logic_error) << what;
+  expect_rejects([&] { serve::FrozenScheme::map(path); }, what, want);
   std::remove(path.c_str());
 }
 
@@ -253,9 +269,23 @@ BlobRange locate_varint_blob(const std::vector<std::uint8_t>& bytes) {
 }
 
 void expect_both_paths_reject(const std::vector<std::uint8_t>& bad,
-                              const char* what) {
-  EXPECT_THROW(serve::FrozenScheme::load(bad), std::logic_error) << what;
-  expect_map_rejects(bad, what);
+                              const char* what, const char* want = nullptr) {
+  expect_rejects([&] { serve::FrozenScheme::load(bad); }, what, want);
+  expect_map_rejects(bad, what, want);
+}
+
+TEST_F(FrozenFuzz, UnsupportedVersionsAreRejected) {
+  // A well-formed image under any version number but the one supported
+  // (2 was the fixed-slot format this one replaced; 4 is from the future)
+  // must be refused by name, not decoded under the wrong layout.
+  for (const std::uint32_t version : {2u, 4u}) {
+    auto bad = image();
+    std::memcpy(bad.data() + 8, &version, sizeof(version));  // after magic
+    repatch_checksum(bad);
+    const std::string want =
+        "unsupported frozen-table version " + std::to_string(version);
+    expect_both_paths_reject(bad, "forged version", want.c_str());
+  }
 }
 
 TEST_F(FrozenFuzz, VarintSectionTruncatedTailIsRejected) {

@@ -98,7 +98,7 @@ TEST(NetEquivalence, WireMatchesInProcessRouteAcrossFamiliesAndK) {
       ASSERT_EQ(info.n, reference.n());
       ASSERT_EQ(info.k, reference.k());
       ASSERT_EQ(info.num_trees, reference.num_trees());
-      ASSERT_EQ(info.image_version, reference.format_version());
+      ASSERT_EQ(info.image_version, serve::FrozenScheme::kFormatVersion);
 
       const auto qs =
           random_queries(reference.n(), 250, 900 + static_cast<unsigned>(k));
