@@ -7,7 +7,6 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -17,13 +16,13 @@
 #include <deque>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/client.h"
-#include "serve/shard.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 #include "util/latency.h"
@@ -53,87 +52,31 @@ void raise_max(std::atomic<std::int64_t>& a, std::int64_t v) {
   }
 }
 
-/// Splits "host:port" (empty host = loopback) for --replica-of.
-std::pair<std::string, int> parse_host_port(const std::string& s) {
+/// Splits options.replica_of into (host, port), once, at construction: a
+/// value the follower could never connect to is refused up front instead
+/// of retried forever. Empty host = loopback; empty value = not a replica.
+std::pair<std::string, int> parse_primary(const std::string& s) {
+  if (s.empty()) return {};
   const auto colon = s.rfind(':');
-  NORS_CHECK_MSG(colon != std::string::npos && colon + 1 < s.size(),
-                 "expected HOST:PORT, got: " << s);
+  const std::string digits =
+      colon == std::string::npos ? std::string() : s.substr(colon + 1);
+  const bool numeric =
+      !digits.empty() && digits.size() <= 5 &&
+      digits.find_first_not_of("0123456789") == std::string::npos;
+  const int port = numeric ? std::stoi(digits) : 0;
+  if (port < 1 || port > 65535) {
+    throw std::invalid_argument(
+        "replica_of: expected HOST:PORT with a port in 1..65535, got '" + s +
+        "'");
+  }
   std::string host = s.substr(0, colon);
   if (host.empty()) host = "127.0.0.1";
-  return {host, std::stoi(s.substr(colon + 1))};
-}
-
-/// Crash-safe whole-file replacement: write to `path + ".tmp"`, fsync,
-/// rename over `path`, fsync the directory — at every instant the old
-/// file or the complete new one is what a reader (or a rebooting daemon)
-/// sees. The checkpoint image rebuild goes through here.
-void write_file_durable(const std::string& path,
-                        std::span<const std::uint8_t> bytes) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) sys_fail("open image temp");
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const auto wr = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (wr < 0 && errno == EINTR) continue;
-    if (wr <= 0) {
-      const int e = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      errno = e;
-      sys_fail("write image temp");
-    }
-    off += static_cast<std::size_t>(wr);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0 ||
-      ::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int e = errno;
-    ::unlink(tmp.c_str());
-    errno = e;
-    sys_fail("persist image");
-  }
-  const auto slash = path.rfind('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash + 1);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
+  return {host, port};
 }
 
 }  // namespace
 
 struct Server::Impl {
-  // ------------------------------------------------------- generations --
-  /// One serving view: an image, its sharded compute, and (possibly) a
-  /// delta overlay. Route pendings hold a shared_ptr, so a swap never
-  /// invalidates an in-flight batch: the generation that admitted it
-  /// lives until its last response is encoded.
-  ///
-  /// Two kinds of swap publish a new Gen. reload() (SIGHUP) builds a
-  /// fresh image + fresh shard workers. apply_updates() (kUpdate /
-  /// --updates) *shares* the image and compute with its predecessor and
-  /// swaps only the immutable DeltaSet — a delta generation costs a hash
-  /// table, not a thread pool, so update batches can be frequent.
-  struct Gen {
-    Gen(serve::FrozenScheme f, const NetServerOptions& o)
-        : fs(std::make_shared<serve::FrozenScheme>(std::move(f))) {
-      serve::ShardedOptions so;
-      so.shards = o.shards;
-      so.cache_entries = o.cache_entries;
-      srv = std::make_shared<serve::ShardedRouteServer>(*fs, so);
-    }
-    /// Delta successor: same image and compute, new overlay.
-    Gen(const Gen& base, std::shared_ptr<const serve::DeltaSet> d)
-        : fs(base.fs), srv(base.srv), delta(std::move(d)) {}
-    std::shared_ptr<serve::FrozenScheme> fs;
-    std::shared_ptr<serve::ShardedRouteServer> srv;
-    std::shared_ptr<const serve::DeltaSet> delta;  // null = unpatched
-  };
-
   struct Conn;
 
   /// One response-in-waiting, queued per connection in request order.
@@ -153,7 +96,7 @@ struct Server::Impl {
     std::vector<serve::Query> queries;
     std::vector<serve::Decision> decisions;
     serve::ShardedRouteServer::Batch batch;
-    std::shared_ptr<Gen> gen;
+    std::shared_ptr<const TableService::Gen> gen;
     std::weak_ptr<Conn> conn;
     clock_t_::time_point t0;
     std::int64_t charged = 0;  // queries held against the global budget
@@ -183,7 +126,7 @@ struct Server::Impl {
     std::vector<std::shared_ptr<Pending>> done;
     /// Server-initiated frames (the kRepl stream), already fully framed,
     /// addressed to one of this loop's connections. Only the loop thread
-    /// touches a Conn, so apply_batch hands the bytes over here.
+    /// touches a Conn, so ConnSink hands the bytes over here.
     std::vector<std::pair<std::weak_ptr<Conn>, std::vector<std::uint8_t>>>
         push;
     int wakefd = -1;
@@ -208,25 +151,35 @@ struct Server::Impl {
     int ep = -1;
   };
 
+  /// A replication subscriber on one of our connections: the service
+  /// pushes a batch's frames under its lock, and they travel through the
+  /// owning loop's mailbox — only the loop thread touches a Conn.
+  struct ConnSink final : ReplSink {
+    ConnSink(std::weak_ptr<Conn> c, std::shared_ptr<Inbox> i)
+        : conn(std::move(c)), inbox(std::move(i)) {}
+    bool alive() const override { return !conn.expired(); }
+    void push(std::span<const std::vector<std::uint8_t>> frames) override {
+      std::lock_guard<std::mutex> lk(inbox->m);
+      if (!inbox->open) return;
+      for (const auto& f : frames) inbox->push.emplace_back(conn, f);
+      inbox->wake();
+    }
+    std::weak_ptr<Conn> conn;
+    std::shared_ptr<Inbox> inbox;
+  };
+
   // ------------------------------------------------------------- state --
-  NetServerOptions opt;
+  /// The primary a replica follows, parsed before anything else is built.
+  const std::pair<std::string, int> primary;
+  /// Built — and its WAL replayed — before the first socket exists.
+  /// Declared before every transport member, so it is destroyed last.
+  TableService tables;
+  const NetServerOptions& opt;
   int listen_fd = -1;
   int bound_port = 0;
   std::shared_ptr<Inbox> accept_inbox = std::make_shared<Inbox>();
   std::thread accept_thread;
   std::vector<std::unique_ptr<Loop>> loops;
-
-  mutable std::mutex gen_m;
-  std::shared_ptr<Gen> gen;
-  /// Every live generation. A ShardedRouteServer's destructor joins its
-  /// workers, so the *last* reference to one must never be dropped from
-  /// one of those workers — pinning generations here lets drain() quiesce
-  /// them all from the draining thread. Retired *delta* generations are
-  /// pruned on each swap (prune_gens_locked): a delta Gen holds no
-  /// threads of its own, and it is only erased while its srv is still
-  /// co-owned by a surviving Gen, so pruning never destroys a shard pool.
-  /// Retired *image* generations (reloads are rare) stay until drain().
-  std::vector<std::shared_ptr<Gen>> all_gens;
 
   /// Where a completion callback parks its Pending when the owning loop
   /// has already exited (post-drain straggler): disposal is deferred to
@@ -243,7 +196,6 @@ struct Server::Impl {
   std::atomic<std::int64_t> frames_out{0};
   std::atomic<std::int64_t> queries{0};
   std::atomic<std::int64_t> protocol_errors{0};
-  std::atomic<std::int64_t> reloads{0};
   std::atomic<std::int64_t> max_inflight{0};
   /// Route queries submitted to the shards and not yet completed — the
   /// quantity max_inflight_queries budgets. Charged at admission,
@@ -253,54 +205,16 @@ struct Server::Impl {
   std::atomic<std::int64_t> shed{0};
   std::atomic<std::int64_t> timeouts{0};
   std::atomic<std::int64_t> stalls{0};
-  std::atomic<std::int64_t> updates{0};
 
-  // ------------------------------------ durability + replication (§14) --
-  std::unique_ptr<serve::Wal> wal;  // appends under gen_m; null = no WAL
-  /// Durable sequence number of the newest published batch (guarded by
-  /// gen_m). Recovered from the WAL at boot; monotonic across reloads and
-  /// checkpoints for the server's whole life.
-  std::uint64_t update_seq = 0;
-  struct Subscriber {
-    std::weak_ptr<Conn> conn;
-    std::shared_ptr<Inbox> inbox;
-  };
-  std::vector<Subscriber> subscribers;  // guarded by gen_m
-  std::mutex ckpt_m;                    // one checkpoint at a time
-  std::thread follower_thread;          // replica mode only
+  std::thread follower_thread;              // replica mode only
   std::atomic<std::uint64_t> repl_head{0};  // primary's head (replica)
-  std::atomic<std::int64_t> wal_errors{0};
-  std::atomic<std::int64_t> checkpoints{0};
-  std::atomic<std::int64_t> repl_applied{0};
-  std::atomic<std::int64_t> batches_since_ckpt{0};
 
   // ---------------------------------------------------------- lifecycle --
-  Impl(serve::FrozenScheme fs, NetServerOptions o) : opt(std::move(o)) {
+  Impl(serve::FrozenScheme fs, NetServerOptions o)
+      : primary(parse_primary(o.replica_of)),
+        tables(std::move(fs), std::move(o)),
+        opt(tables.options()) {
     NORS_CHECK_MSG(opt.window >= 1, "window must be >= 1");
-    gen = std::make_shared<Gen>(std::move(fs), opt);
-    all_gens.push_back(gen);
-
-    if (!opt.wal_dir.empty()) {
-      // Recover before the first socket exists: replay every logged batch
-      // over the image so the daemon boots into exactly the state a
-      // never-crashed one would serve. No thread has started yet, so the
-      // replay callback may touch `gen` without the lock. A snapshot
-      // record (a checkpoint squash) replaces the accumulated delta
-      // chain — it is applied against the base image.
-      serve::WalOptions wo;
-      wo.fsync = opt.fsync;
-      wo.fsync_interval_ms = opt.fsync_interval_ms;
-      wo.segment_bytes = opt.wal_segment_bytes;
-      wal = std::make_unique<serve::Wal>(
-          opt.wal_dir, wo, [this](const serve::WalRecord& r) {
-            auto delta = serve::DeltaSet::apply(
-                *gen->fs, r.snapshot ? nullptr : gen->delta.get(), r.events);
-            gen = std::make_shared<Gen>(*gen, std::move(delta));
-            all_gens.push_back(gen);
-            prune_gens_locked();
-          });
-      update_seq = wal->last_seq();
-    }
 
     listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                          0);
@@ -341,7 +255,7 @@ struct Server::Impl {
       l->thread = std::thread([this, lp = l.get()] { run_loop(*lp); });
     }
     accept_thread = std::thread([this] { run_acceptor(); });
-    if (!opt.replica_of.empty()) {
+    if (tables.read_only()) {
       follower_thread = std::thread([this] { run_follower(); });
     }
   }
@@ -352,6 +266,7 @@ struct Server::Impl {
     std::lock_guard<std::mutex> lk(drain_m);
     if (drained) return;
     draining.store(true, std::memory_order_release);
+    tables.close();
     accept_inbox->wake();
     for (auto& l : loops) l->inbox->wake();
     if (accept_thread.joinable()) accept_thread.join();
@@ -359,226 +274,17 @@ struct Server::Impl {
       if (l->thread.joinable()) l->thread.join();
     }
     if (follower_thread.joinable()) follower_thread.join();
-    // Quiesce every generation from *this* thread: ~ShardedRouteServer
-    // joins its workers, which must never happen on one of them. After
-    // the joins, every completion callback has fully run, so the grave
-    // is complete and safe to clear.
-    std::vector<std::shared_ptr<Gen>> gens;
-    {
-      std::lock_guard<std::mutex> glk(gen_m);
-      gens.swap(all_gens);
-      gen.reset();
-    }
-    for (auto& g : gens) g->srv.reset();
+    // The order that keeps a shard pool from joining itself: loops joined
+    // (nothing submits any more) → pools joined, on *this* thread
+    // (release(); ~ShardedRouteServer joins its workers, which must never
+    // happen on one of them) → grave cleared (every completion callback
+    // has fully run, so the grave is complete).
+    tables.release();
     {
       std::lock_guard<std::mutex> glk(grave_m);
       grave.clear();
     }
-    gens.clear();
     drained = true;
-  }
-
-  void reload(serve::FrozenScheme fs) {
-    auto next = std::make_shared<Gen>(std::move(fs), opt);
-    {
-      std::lock_guard<std::mutex> lk(gen_m);
-      if (draining.load(std::memory_order_acquire)) return;  // too late
-      gen = next;
-      all_gens.push_back(std::move(next));
-      prune_gens_locked();
-      // A reload drops the delta chain by design, so the WAL records that
-      // described it are void too: truncate to an empty log at the
-      // current seq. (Replicas of a reloaded primary must be restarted
-      // with the new image — the stream carries deltas, not images.)
-      if (wal != nullptr) wal->reset(update_seq, nullptr);
-    }
-    reloads.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Erases retired generations nothing references anymore — but only
-  /// while their shard pool is co-owned by a surviving generation, so the
-  /// erase can never destroy a ShardedRouteServer (whose destructor joins
-  /// threads) from here. Runs under gen_m on whatever thread swapped.
-  void prune_gens_locked() {
-    std::erase_if(all_gens, [this](const std::shared_ptr<Gen>& g) {
-      return g != gen && g.use_count() == 1 && g->srv.use_count() > 1;
-    });
-  }
-
-  UpdateAck apply_updates(std::span<const serve::EdgeUpdate> batch) {
-    return apply_batch(batch, 0, false);
-  }
-
-  /// The one write path (§14). repl_seq == 0: a local/client batch — the
-  /// next durable seq is allocated here. repl_seq > 0: the primary's
-  /// batch applied at *its* seq — a duplicate (seq ≤ update_seq, stream
-  /// re-delivery after a reconnect) is acked without effect, `snapshot`
-  /// batches replace the whole delta chain (applied against the base
-  /// image), and a non-snapshot, non-contiguous seq is a stream gap the
-  /// follower must repair by resubscribing. The order inside the lock is
-  /// the durability contract: append + sync the WAL first, publish the
-  /// generation second — a batch the log rejected is never served, and a
-  /// batch a subscriber sees is always durable on the primary.
-  UpdateAck apply_batch(std::span<const serve::EdgeUpdate> batch,
-                        std::uint64_t repl_seq, bool snapshot) {
-    serve::DeltaStats ds;
-    std::uint64_t seq = 0;
-    {
-      std::lock_guard<std::mutex> lk(gen_m);
-      NORS_CHECK_MSG(gen != nullptr &&
-                         !draining.load(std::memory_order_acquire),
-                     "apply_updates on a draining server");
-      if (repl_seq != 0 && repl_seq <= update_seq) {
-        UpdateAck dup;
-        dup.seq = update_seq;  // already applied: ack, change nothing
-        return dup;
-      }
-      if (repl_seq != 0 && !snapshot) {
-        NORS_CHECK_MSG(repl_seq == update_seq + 1,
-                       "replication gap: resubscribe for a snapshot");
-      }
-      auto delta = serve::DeltaSet::apply(
-          *gen->fs, snapshot ? nullptr : gen->delta.get(), batch, &ds);
-      seq = repl_seq != 0 ? repl_seq : update_seq + 1;
-      if (wal != nullptr) {
-        try {
-          wal->append(seq, snapshot, batch);
-        } catch (const serve::WalError&) {
-          wal_errors.fetch_add(1, std::memory_order_relaxed);
-          throw;  // nothing published: the old generation keeps serving
-        }
-      }
-      auto next = std::make_shared<Gen>(*gen, std::move(delta));
-      gen = next;
-      update_seq = seq;
-      all_gens.push_back(std::move(next));
-      prune_gens_locked();
-      push_to_subscribers_locked(seq, snapshot, batch);
-    }
-    updates.fetch_add(1, std::memory_order_release);
-    if (repl_seq != 0) {
-      repl_applied.fetch_add(1, std::memory_order_relaxed);
-    }
-    maybe_auto_checkpoint();
-    UpdateAck a;
-    a.seq = seq;
-    a.applied = ds.applied;
-    a.unknown_edges = ds.unknown_edges;
-    a.overrides = ds.overrides;
-    a.failed_links = ds.failed_links;
-    a.masked_trees = ds.masked_trees;
-    return a;
-  }
-
-  void maybe_auto_checkpoint() {
-    if (opt.checkpoint_every <= 0 || wal == nullptr) return;
-    if (batches_since_ckpt.fetch_add(1, std::memory_order_relaxed) + 1 <
-        opt.checkpoint_every) {
-      return;
-    }
-    try {
-      checkpoint();
-    } catch (const std::exception&) {
-      // Auto-compaction is advisory: on failure the log keeps its records
-      // (checkpoint() never truncates before the squash lands) and the
-      // next batch retries.
-    }
-  }
-
-  /// Checkpoint compaction (§14): squash the delta chain into one
-  /// snapshot WAL record, rebuild the frozen image with the weight
-  /// overrides baked in (when image_path is set), truncate the log. Runs
-  /// whole under gen_m so the image, the squash and the captured seq are
-  /// one consistent cut — updates queue behind it (a checkpoint is a
-  /// file-write, not a route computation). Failures leave the old log
-  /// intact. Failed links stay in the squash record rather than the
-  /// image: replaying it over either the old or the rebuilt image
-  /// re-masks exactly the same trees, so recovery converges from both.
-  CheckpointAck checkpoint() {
-    std::lock_guard<std::mutex> ck(ckpt_m);
-    std::lock_guard<std::mutex> lk(gen_m);
-    NORS_CHECK_MSG(gen != nullptr &&
-                       !draining.load(std::memory_order_acquire),
-                   "checkpoint on a draining server");
-    CheckpointAck a;
-    a.seq = update_seq;
-    std::vector<serve::EdgeUpdate> snap;
-    const bool dirty =
-        gen->delta != nullptr && gen->delta->override_count() > 0;
-    if (dirty) {
-      snap = gen->delta->as_edge_updates(*gen->fs);
-      a.squashed = gen->delta->override_count();
-      if (!opt.image_path.empty()) {
-        write_file_durable(
-            opt.image_path,
-            gen->fs->save_with_link_weights(gen->delta->sorted_overrides()));
-        a.image_rebuilt = 1;
-      }
-    }
-    if (wal != nullptr) {
-      wal->reset(update_seq, snap.empty() ? nullptr : &snap);
-      a.wal_segments = static_cast<std::int64_t>(wal->segment_count());
-    }
-    checkpoints.fetch_add(1, std::memory_order_relaxed);
-    batches_since_ckpt.store(0, std::memory_order_relaxed);
-    return a;
-  }
-
-  /// Chunks one applied batch into encoded kRepl frame *bodies*. Every
-  /// chunk carries the same seq; all but the last set `more`, and the
-  /// receiver applies the reassembled batch once.
-  static std::vector<std::vector<std::uint8_t>> build_repl_bodies(
-      std::uint64_t seq, std::uint64_t head_seq, bool snapshot,
-      std::span<const serve::EdgeUpdate> events) {
-    std::vector<std::vector<std::uint8_t>> bodies;
-    std::size_t at = 0;
-    do {
-      const std::size_t take =
-          std::min(events.size() - at, kMaxUpdatesPerFrame);
-      ReplFrame rf;
-      rf.seq = seq;
-      rf.head_seq = head_seq;
-      rf.snapshot = snapshot;
-      rf.more = at + take < events.size();
-      rf.events.assign(events.begin() + static_cast<std::ptrdiff_t>(at),
-                       events.begin() + static_cast<std::ptrdiff_t>(at + take));
-      bodies.emplace_back();
-      encode_repl(bodies.back(), rf);
-      at += take;
-    } while (at < events.size());
-    return bodies;
-  }
-
-  /// Fans one applied batch out to every live subscriber, under gen_m (so
-  /// the stream is in apply order, gap-free). The framed bytes travel
-  /// through the owning loop's mailbox — only the loop thread touches a
-  /// Conn. The repl.stream failpoint drops the whole push: followers see
-  /// the gap on the next frame and resubscribe (snapshot catch-up), which
-  /// is exactly the degraded path the chaos tests pin.
-  void push_to_subscribers_locked(std::uint64_t seq, bool snapshot,
-                                  std::span<const serve::EdgeUpdate> events) {
-    if (subscribers.empty()) return;
-    if (util::failpoint("repl.stream") == util::FpAction::kError) return;
-    std::vector<std::vector<std::uint8_t>> frames;
-    for (const auto& body : build_repl_bodies(seq, seq, snapshot, events)) {
-      frames.emplace_back();
-      append_frame(frames.back(), FrameType::kRepl, 0, body);
-    }
-    for (auto it = subscribers.begin(); it != subscribers.end();) {
-      auto c = it->conn.lock();
-      if (!c) {
-        it = subscribers.erase(it);
-        continue;
-      }
-      std::lock_guard<std::mutex> lk(it->inbox->m);
-      if (it->inbox->open) {
-        for (const auto& fb : frames) {
-          it->inbox->push.emplace_back(it->conn, fb);
-        }
-        it->inbox->wake();
-      }
-      ++it;
-    }
   }
 
   // ----------------------------------------------------------- follower --
@@ -606,19 +312,13 @@ struct Server::Impl {
   }
 
   void follow_once(int& backoff_ms) {
-    const auto [phost, pport] = parse_host_port(opt.replica_of);
     ClientOptions copt;
-    copt.host = phost;
-    copt.port = pport;
+    copt.host = primary.first;
+    copt.port = primary.second;
     copt.request_timeout_ms = 250;  // doubles as the draining poll tick
     Client cli(copt);
-    std::uint64_t have = 0;
-    {
-      std::lock_guard<std::mutex> lk(gen_m);
-      have = update_seq;
-    }
     std::vector<std::uint8_t> body;
-    encode_subscribe(body, have);
+    encode_subscribe(body, tables.seq());
     cli.send_frame(FrameType::kSubscribe, body);
     Frame ack;
     for (;;) {
@@ -669,16 +369,11 @@ struct Server::Impl {
       batch.insert(batch.end(), rf.events.begin(), rf.events.end());
       if (rf.more) continue;
       buffering = false;
-      // Gaps and duplicates are judged inside apply_batch, under the lock
+      // Gaps and duplicates are judged inside the service, under the lock
       // they matter to; a gap throws, landing us back in the resubscribe
       // path above.
-      apply_batch(batch, batch_seq, batch_snapshot);
+      tables.apply_replicated(batch_seq, batch_snapshot, batch);
     }
-  }
-
-  std::shared_ptr<Gen> current_gen() {
-    std::lock_guard<std::mutex> lk(gen_m);
-    return gen;
   }
 
   /// Counter coherence (pinned by test_chaos): every counter is
@@ -697,7 +392,8 @@ struct Server::Impl {
   /// frames_in; a loop's active after the acceptor's conns_accepted, via
   /// the inbox mutex), and the snapshot acquire-loads the late counters
   /// *first* — so any late event it observes has its early increment
-  /// visible by the time the early counter is read.
+  /// visible by the time the early counter is read. The table-side
+  /// counters take part in no bound; they are read last.
   WireStats snapshot_stats() const {
     WireStats s;
     // Late counters first (acquire)...
@@ -714,41 +410,17 @@ struct Server::Impl {
     s.frames_in = frames_in.load(std::memory_order_relaxed);
     s.conns_accepted = conns_accepted.load(std::memory_order_relaxed);
     s.protocol_errors = protocol_errors.load(std::memory_order_relaxed);
-    s.reloads = reloads.load(std::memory_order_relaxed);
-    s.updates = updates.load(std::memory_order_relaxed);
     s.max_inflight = max_inflight.load(std::memory_order_relaxed);
     s.timeouts = timeouts.load(std::memory_order_relaxed);
     s.stalls = stalls.load(std::memory_order_relaxed);
-    s.wal_errors = wal_errors.load(std::memory_order_relaxed);
-    s.checkpoints = checkpoints.load(std::memory_order_relaxed);
-    s.repl_applied = repl_applied.load(std::memory_order_relaxed);
     s.p50_ns = static_cast<std::int64_t>(
         util::LatencyHistogram::quantile_us(merged, 0.5) * 1000.0);
     s.p99_ns = static_cast<std::int64_t>(
         util::LatencyHistogram::quantile_us(merged, 0.99) * 1000.0);
-    // Overlay-serving counters, attributed per shard pool: generations
-    // sharing one pool share its counts, so sum over *distinct* pools.
-    {
-      std::lock_guard<std::mutex> lk(gen_m);
-      const serve::ShardedRouteServer* last = nullptr;
-      for (const auto& g : all_gens) {
-        if (g->srv.get() == last) continue;  // delta chain: same pool
-        last = g->srv.get();
-        const auto t = g->srv->totals();
-        s.masked += t.masked;
-        s.repaired += t.repaired;
-      }
-      s.update_seq = static_cast<std::int64_t>(update_seq);
-      if (wal != nullptr) {
-        s.wal_records = wal->stats().appends;
-      }
-      for (const auto& sub : subscribers) {
-        if (!sub.conn.expired()) ++s.subscribers;
-      }
-      const std::uint64_t head = repl_head.load(std::memory_order_relaxed);
-      if (head > update_seq) {
-        s.repl_lag = static_cast<std::int64_t>(head - update_seq);
-      }
+    tables.fill_stats(s);
+    const auto head = repl_head.load(std::memory_order_relaxed);
+    if (head > static_cast<std::uint64_t>(s.update_seq)) {
+      s.repl_lag = static_cast<std::int64_t>(head) - s.update_seq;
     }
     return s;
   }
@@ -837,15 +509,26 @@ struct Server::Impl {
               static_cast<std::int64_t>(c->pipeline.size()));
   }
 
-  std::shared_ptr<Pending> make_error(std::uint32_t request_id,
-                                      ErrorCode code, const char* msg) {
+  /// A response born encoded: everything but a route answer.
+  static std::shared_ptr<Pending> ready(std::uint32_t request_id,
+                                        FrameType type) {
     auto p = std::make_shared<Pending>();
     p->request_id = request_id;
-    p->resp_type = FrameType::kError;
+    p->resp_type = type;
     p->encoded = true;
+    return p;
+  }
+
+  std::shared_ptr<Pending> make_error(std::uint32_t request_id,
+                                      ErrorCode code, const char* msg) {
+    auto p = ready(request_id, FrameType::kError);
     p->close_after = is_fatal(code);
     encode_error(p->resp_body, code, msg);
-    protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    // A WAL refusal counts in wal_errors (the table service), not here:
+    // the request was well-formed and only the log could not hold it.
+    if (code != ErrorCode::kWalError) {
+      protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    }
     return p;
   }
 
@@ -853,10 +536,7 @@ struct Server::Impl {
   /// and counts as shed load — not as a protocol error (the request was
   /// well-formed; the server simply declined the work).
   std::shared_ptr<Pending> make_overloaded(std::uint32_t request_id) {
-    auto p = std::make_shared<Pending>();
-    p->request_id = request_id;
-    p->resp_type = FrameType::kError;
-    p->encoded = true;
+    auto p = ready(request_id, FrameType::kError);
     encode_overloaded(p->resp_body,
                       static_cast<std::uint32_t>(
                           std::max(0, opt.retry_after_ms)),
@@ -882,6 +562,76 @@ struct Server::Impl {
            l.pending >= static_cast<std::int64_t>(opt.max_pending_per_loop);
   }
 
+  /// The write-side frames. Past body decode, every rule (read-only,
+  /// range, draining, WAL) is the table service's: a refusal throws a
+  /// TableError, which dispatch() answers at its one catch site. Answered
+  /// inline and in pipeline order like everything else; route frames
+  /// already admitted keep their old generation.
+  void dispatch_write(Loop& l, const std::shared_ptr<Conn>& c,
+                      const Frame& f, std::shared_ptr<Pending>& p,
+                      std::vector<std::shared_ptr<Pending>>& extras) {
+    switch (f.type) {
+      case FrameType::kUpdate: {
+        std::vector<serve::EdgeUpdate> ups;
+        try {
+          ups = decode_update_request(f.body);
+        } catch (const std::logic_error&) {
+          p = make_error(f.request_id, ErrorCode::kBadBody,
+                         "malformed update request");
+          return;
+        }
+        encode_update_ack(p->resp_body, tables.apply(ups));
+        p->resp_type = FrameType::kUpdateAck;
+        p->encoded = true;
+        return;
+      }
+      case FrameType::kSubscribe: {
+        std::uint64_t have = 0;
+        try {
+          have = decode_subscribe(f.body);
+        } catch (const std::logic_error&) {
+          p = make_error(f.request_id, ErrorCode::kBadBody,
+                         "malformed subscribe request");
+          return;
+        }
+        if (!c->pipeline.empty()) {
+          // The stream bypasses the ordered pipeline (pushed frames append
+          // straight to the socket), so it must own its connection.
+          p = make_error(f.request_id, ErrorCode::kBadQuery,
+                         "subscribe requires a dedicated connection");
+          return;
+        }
+        auto sub =
+            tables.subscribe(have, std::make_shared<ConnSink>(c, l.inbox));
+        p->resp_type = FrameType::kSubscribeAck;
+        encode_subscribe_ack(p->resp_body, sub.head);
+        p->encoded = true;
+        // The catch-up snapshot rides the same ordered pipeline as the ack
+        // (the pipeline was empty, so both flush before any pushed frame —
+        // pushes enqueued from here on drain only on the *next* loop
+        // iteration).
+        for (auto& body : sub.catch_up) {
+          extras.push_back(ready(0, FrameType::kRepl));
+          extras.back()->resp_body = std::move(body);
+        }
+        return;
+      }
+      case FrameType::kCheckpoint: {
+        if (!f.body.empty()) {
+          p = make_error(f.request_id, ErrorCode::kBadBody,
+                         "checkpoint takes no body");
+          return;
+        }
+        encode_checkpoint_ack(p->resp_body, tables.checkpoint());
+        p->resp_type = FrameType::kCheckpointAck;
+        p->encoded = true;
+        return;
+      }
+      default:
+        return;  // dispatch() sends only the three write frames here
+    }
+  }
+
   void dispatch(Loop& l, const std::shared_ptr<Conn>& c, Frame&& f) {
     frames_in.fetch_add(1, std::memory_order_relaxed);
     auto p = std::make_shared<Pending>();
@@ -891,7 +641,7 @@ struct Server::Impl {
     std::vector<std::shared_ptr<Pending>> extras;
     switch (f.type) {
       case FrameType::kHello: {
-        const auto g = current_gen();
+        const auto g = tables.current();
         ServerInfo info;
         info.n = g->fs->n();
         info.k = g->fs->k();
@@ -912,7 +662,7 @@ struct Server::Impl {
       case FrameType::kLabel: {
         try {
           const graph::Vertex v = decode_label_request(f.body);
-          const auto g = current_gen();
+          const auto g = tables.current();
           if (v < 0 || v >= g->fs->n()) {
             p = make_error(f.request_id, ErrorCode::kBadQuery,
                            "label vertex out of range");
@@ -935,7 +685,7 @@ struct Server::Impl {
                          "malformed route request");
           break;
         }
-        const auto g = current_gen();
+        const auto g = tables.current();
         for (const auto& q : p->queries) {
           if (q.u < 0 || q.u >= g->fs->n() || q.v < 0 ||
               q.v >= g->fs->n()) {
@@ -960,137 +710,17 @@ struct Server::Impl {
         p->decisions.resize(p->queries.size());
         break;
       }
-      case FrameType::kUpdate: {
-        // Admin frame: apply the edge batch and publish it as a new delta
-        // generation. Answered inline (the apply is a hash-table build,
-        // not a route computation) and in pipeline order like everything
-        // else; route frames already admitted keep their old generation.
-        std::vector<serve::EdgeUpdate> ups;
+      case FrameType::kUpdate:
+      case FrameType::kSubscribe:
+      case FrameType::kCheckpoint:
         try {
-          ups = decode_update_request(f.body);
-        } catch (const std::logic_error&) {
-          p = make_error(f.request_id, ErrorCode::kBadBody,
-                         "malformed update request");
-          break;
-        }
-        if (!opt.replica_of.empty()) {
-          p = make_error(f.request_id, ErrorCode::kReadOnly,
-                         "read-only replica: send updates to the primary");
-          break;
-        }
-        const auto g = current_gen();
-        for (const auto& e : ups) {
-          if (e.u < 0 || e.u >= g->fs->n() || e.v < 0 ||
-              e.v >= g->fs->n()) {
-            p = make_error(f.request_id, ErrorCode::kBadQuery,
-                           "update vertex out of range");
-            break;
-          }
-        }
-        if (p->resp_type == FrameType::kError && p->encoded) break;
-        if (draining.load(std::memory_order_acquire)) {
-          p = make_error(f.request_id, ErrorCode::kDraining,
-                         "draining: updates not accepted");
-          break;
-        }
-        try {
-          const UpdateAck a = apply_updates(ups);
-          p->resp_type = FrameType::kUpdateAck;
-          encode_update_ack(p->resp_body, a);
-          p->encoded = true;
-        } catch (const serve::WalError& e) {
-          // The log rejected the batch (disk full, injected fault):
-          // nothing was published, reads keep serving the old generation.
-          // Recoverable, and counted in wal_errors (apply_batch), not
-          // protocol_errors — the request was well-formed.
-          p->resp_type = FrameType::kError;
-          p->resp_body.clear();
-          encode_error(p->resp_body, ErrorCode::kWalError, e.what());
-          p->encoded = true;
+          dispatch_write(l, c, f, p, extras);
+        } catch (const TableError& e) {
+          p = make_error(f.request_id, e.code, e.what());
         } catch (const std::exception& e) {
           p = make_error(f.request_id, ErrorCode::kServerError, e.what());
         }
         break;
-      }
-      case FrameType::kSubscribe: {
-        std::uint64_t have = 0;
-        try {
-          have = decode_subscribe(f.body);
-        } catch (const std::logic_error&) {
-          p = make_error(f.request_id, ErrorCode::kBadBody,
-                         "malformed subscribe request");
-          break;
-        }
-        if (!c->pipeline.empty()) {
-          // The stream bypasses the ordered pipeline (pushed frames append
-          // straight to the socket), so it must own its connection.
-          p = make_error(f.request_id, ErrorCode::kBadQuery,
-                         "subscribe requires a dedicated connection");
-          break;
-        }
-        if (draining.load(std::memory_order_acquire)) {
-          p = make_error(f.request_id, ErrorCode::kDraining,
-                         "draining: subscriptions not accepted");
-          break;
-        }
-        std::uint64_t head = 0;
-        std::vector<serve::EdgeUpdate> snap;
-        bool catch_up = false;
-        {
-          // Registration and the head snapshot are one atomic step
-          // against apply_batch: every batch after `head` will be pushed,
-          // and the catch-up snapshot covers everything up to it — no
-          // gap, no double-apply (snapshots replace, not layer).
-          std::lock_guard<std::mutex> lk(gen_m);
-          head = update_seq;
-          if (have < head) {
-            catch_up = true;
-            if (gen->delta != nullptr) {
-              snap = gen->delta->as_edge_updates(*gen->fs);
-            }
-          }
-          subscribers.push_back({c, l.inbox});
-        }
-        p->resp_type = FrameType::kSubscribeAck;
-        encode_subscribe_ack(p->resp_body, head);
-        p->encoded = true;
-        if (catch_up) {
-          // The snapshot rides the same ordered pipeline as the ack (the
-          // pipeline was empty, so both flush before any pushed frame —
-          // pushes enqueued from here on drain only on the *next* loop
-          // iteration).
-          for (auto& body : build_repl_bodies(head, head, true, snap)) {
-            auto e = std::make_shared<Pending>();
-            e->request_id = 0;
-            e->resp_type = FrameType::kRepl;
-            e->resp_body = std::move(body);
-            e->encoded = true;
-            extras.push_back(std::move(e));
-          }
-        }
-        break;
-      }
-      case FrameType::kCheckpoint: {
-        if (!f.body.empty()) {
-          p = make_error(f.request_id, ErrorCode::kBadBody,
-                         "checkpoint takes no body");
-          break;
-        }
-        if (draining.load(std::memory_order_acquire)) {
-          p = make_error(f.request_id, ErrorCode::kDraining,
-                         "draining: checkpoint not accepted");
-          break;
-        }
-        try {
-          const CheckpointAck a = checkpoint();
-          p->resp_type = FrameType::kCheckpointAck;
-          encode_checkpoint_ack(p->resp_body, a);
-          p->encoded = true;
-        } catch (const std::exception& e) {
-          p = make_error(f.request_id, ErrorCode::kServerError, e.what());
-        }
-        break;
-      }
       default:
         // A checksummed frame of a response-only type from a client.
         p = make_error(f.request_id, ErrorCode::kBadType,
@@ -1105,7 +735,7 @@ struct Server::Impl {
       // loop through the inbox) always finds the pending in order. The
       // callback MOVES its Pending reference out — a shard worker must
       // never end up holding the last reference to a generation (its
-      // destructor would self-join; see all_gens).
+      // destructor would self-join; see TableService::gens_).
       auto inbox = l.inbox;
       p->batch = p->gen->srv->submit(
           p->queries.data(), p->queries.size(), p->decisions.data(),
@@ -1463,16 +1093,8 @@ int Server::port() const { return impl_->bound_port; }
 
 void Server::drain() { impl_->drain(); }
 
-void Server::reload(serve::FrozenScheme fs) { impl_->reload(std::move(fs)); }
-
-UpdateAck Server::apply_updates(std::span<const serve::EdgeUpdate> updates) {
-  return impl_->apply_updates(updates);
-}
-
-CheckpointAck Server::checkpoint() { return impl_->checkpoint(); }
+TableService& Server::tables() { return impl_->tables; }
 
 WireStats Server::stats() const { return impl_->snapshot_stats(); }
-
-const NetServerOptions& Server::options() const { return impl_->opt; }
 
 }  // namespace nors::net

@@ -1,26 +1,16 @@
 #include "net/wire.h"
 
 #include "core/serialize.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace nors::net {
 
 namespace {
 
-// Little-endian fixed-width header accessors. memcpy keeps the reads
-// alignment-safe; the repo targets little-endian hosts (the frozen-image
-// loader rejects big-endian images the same way).
-template <typename T>
-T read_le(const std::uint8_t* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
-
-template <typename T>
-void write_le(std::uint8_t* p, T v) {
-  std::memcpy(p, &v, sizeof(T));
-}
+using util::fnv1a;
+using util::read_le;
+using util::write_le;
 
 bool known_request_type(std::uint8_t t) {
   switch (static_cast<FrameType>(t)) {

@@ -121,16 +121,6 @@ inline bool is_fatal(ErrorCode c) {
          c == ErrorCode::kBadFlags;
 }
 
-/// The FNV-1a 64 the frozen-image format trailer uses, applied per frame.
-inline std::uint64_t fnv1a(const std::uint8_t* p, std::size_t len) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// A decoded frame envelope; body bytes are copied out of the stream
 /// buffer so the buffer can compact independently of frame lifetime.
 struct Frame {

@@ -34,10 +34,12 @@ std::shared_ptr<const DeltaSet> DeltaSet::apply(
   ds = DeltaStats{};
 
   for (const EdgeUpdate& e : batch) {
-    NORS_CHECK_MSG(e.u >= 0 && e.u < fs.n() && e.v >= 0 && e.v < fs.n(),
-                   "edge update names vertex outside the image");
-    const std::int32_t pu = fs.find_port(e.u, e.v);
-    const std::int32_t pv = fs.find_port(e.v, e.u);
+    // A vertex outside the image names no edge of it. Refusing such a
+    // batch is the caller's rule (net::TableService answers kBadQuery);
+    // here it only must not index past the adjacency arrays.
+    const bool in_image = e.u >= 0 && e.u < fs.n() && e.v >= 0 && e.v < fs.n();
+    const std::int32_t pu = in_image ? fs.find_port(e.u, e.v) : graph::kNoPort;
+    const std::int32_t pv = in_image ? fs.find_port(e.v, e.u) : graph::kNoPort;
     if (e.u == e.v || pu == graph::kNoPort || pv == graph::kNoPort) {
       ++ds.unknown_edges;
       continue;

@@ -97,8 +97,9 @@ class DeltaSet {
   /// Layers `batch` over `prev` (nullptr ⟺ the unpatched base image) and
   /// returns the successor set; `prev` is left untouched. An override that
   /// restores a link's frozen weight is dropped entirely, so a journal
-  /// that undoes itself converges back to an empty set. Throws on
-  /// out-of-range vertices; unknown edges are skipped and counted.
+  /// that undoes itself converges back to an empty set. Unknown edges —
+  /// including any naming a vertex outside the image — are skipped and
+  /// counted.
   static std::shared_ptr<const DeltaSet> apply(
       const FrozenScheme& fs, const DeltaSet* prev,
       std::span<const EdgeUpdate> batch, DeltaStats* stats = nullptr);

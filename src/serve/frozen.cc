@@ -16,6 +16,7 @@
 #endif
 
 #include "core/serialize.h"
+#include "util/bytes.h"
 #include "util/failpoint.h"
 
 namespace nors::serve {
@@ -68,14 +69,7 @@ static_assert(alignof(FrozenScheme::TrickSlot) <= 8);
 /// 8-byte file offset (counts and payloads both start 8-aligned).
 constexpr std::size_t pad8(std::size_t len) { return (8 - len % 8) % 8; }
 
-std::uint64_t fnv1a(const std::uint8_t* p, std::size_t len) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using util::fnv1a;
 
 void put_raw(std::vector<std::uint8_t>& out, const void* p, std::size_t len) {
   // resize+memcpy instead of insert: same effect, and it sidesteps a

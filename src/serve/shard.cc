@@ -24,9 +24,10 @@ struct ShardedRouteServer::Batch::State {
   std::mutex m;
   std::condition_variable cv;
   std::exception_ptr error;  // first worker failure; guarded by m
-  // Completion hook of the callback submit() overload; guarded by m.
-  // Swapped out (and thereby released) before it runs, so a callback that
-  // captures the Batch ticket cannot form a State↔callback cycle.
+  // Completion hook. Installed before any sub-batch is enqueued, then
+  // swapped out under m (and thereby released) by the worker that retires
+  // the last one, so a callback that captures the Batch ticket cannot form
+  // a State↔callback cycle.
   std::function<void()> on_complete;
   // Per-shard query indices (positions into the caller's arrays). Owned
   // here so the index lists live exactly as long as the slowest worker
@@ -242,67 +243,26 @@ void ShardedRouteServer::worker(Worker& w) {
   }
 }
 
-ShardedRouteServer::Batch ShardedRouteServer::attach_hook(
-    Batch ticket, std::function<void()> on_complete) {
-  if (!ticket.state_) {
-    // Nothing was enqueued: the completion contract ("exactly once") is
-    // met inline, and the ticket is already done.
-    if (on_complete) on_complete();
-    return ticket;
-  }
-  bool already_done = false;
-  {
-    std::lock_guard<std::mutex> lk(ticket.state_->m);
-    if (ticket.state_->remaining.load(std::memory_order_acquire) == 0) {
-      already_done = true;  // workers beat us to it: run the hook here
-    } else {
-      ticket.state_->on_complete = std::move(on_complete);
-    }
-  }
-  if (already_done && on_complete) on_complete();
-  return ticket;
-}
-
-ShardedRouteServer::Batch ShardedRouteServer::submit(
-    const Query* queries, std::size_t count, Decision* out,
-    std::function<void()> on_complete) {
-  return attach_hook(submit_impl(queries, count, out, nullptr),
-                     std::move(on_complete));
-}
-
-ShardedRouteServer::Batch ShardedRouteServer::submit(const Query* queries,
-                                                     std::size_t count,
-                                                     Decision* out) {
-  return submit_impl(queries, count, out, nullptr);
-}
-
-ShardedRouteServer::Batch ShardedRouteServer::submit(
-    const Query* queries, std::size_t count, Decision* out,
-    std::shared_ptr<const DeltaSet> delta) {
-  return submit_impl(queries, count, out, std::move(delta));
-}
-
 ShardedRouteServer::Batch ShardedRouteServer::submit(
     const Query* queries, std::size_t count, Decision* out,
     std::shared_ptr<const DeltaSet> delta,
     std::function<void()> on_complete) {
-  return attach_hook(submit_impl(queries, count, out, std::move(delta)),
-                     std::move(on_complete));
-}
-
-ShardedRouteServer::Batch ShardedRouteServer::submit_impl(
-    const Query* queries, std::size_t count, Decision* out,
-    std::shared_ptr<const DeltaSet> delta) {
-  auto state = std::make_shared<Batch::State>(count);
   Batch ticket;
-  ticket.state_ = state;
-  if (count == 0) return ticket;
+  if (count == 0) {
+    // Nothing to enqueue: the default ticket is already done, and the
+    // hook's "exactly once" is met inline.
+    if (on_complete) on_complete();
+    return ticket;
+  }
   NORS_CHECK_MSG(queries != nullptr && out != nullptr,
                  "submit() needs query and output arrays");
   // Index lists are u32; a larger batch would wrap and silently corrupt
   // the answer placement, so refuse it loudly (split the batch instead).
   NORS_CHECK_MSG(count <= 0xffffffffull,
                  "batch too large: split submissions beyond 2^32 queries");
+  auto state = std::make_shared<Batch::State>(count);
+  state->on_complete = std::move(on_complete);
+  ticket.state_ = state;
   state->idx.resize(shards_.size());
   for (auto& v : state->idx) {
     v.reserve(count / shards_.size() + 1);

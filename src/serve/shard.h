@@ -98,36 +98,31 @@ class ShardedRouteServer {
     std::shared_ptr<State> state_;
   };
 
-  /// Async: dispatch the batch across shard queues and return immediately.
-  Batch submit(const Query* queries, std::size_t count, Decision* out);
-
-  /// As submit(), answering through the delta overlay (serve/delta.h):
+  /// Async: dispatch the batch across shard queues and return its ticket
+  /// immediately.
+  ///
+  /// With a `delta`, answers go through the overlay (serve/delta.h):
   /// masked trees are skipped with a fallback re-route, patched links
   /// charge their overridden weight, and the batch pins `delta` until it
   /// retires — the generation-swap contract net::Server relies on. A null
-  /// delta serves the unpatched image (identical to plain submit()). When
-  /// a worker sees a different delta sequence than its previous batch it
-  /// clears its table cache (indices are delta-invariant today, but the
-  /// invalidation is keyed by generation, not by that implementation
-  /// detail).
+  /// delta serves the unpatched image. When a worker sees a different
+  /// delta sequence than its previous batch it clears its table cache
+  /// (indices are delta-invariant today, but the invalidation is keyed by
+  /// generation, not by that implementation detail).
+  ///
+  /// With an `on_complete` hook, it runs exactly once when every query of
+  /// the batch is answered — the hook the network front-end (src/net)
+  /// uses to finish a request without parking a thread in wait(). It runs
+  /// on the worker thread that retires the batch's last sub-batch, after
+  /// all accounting (an empty batch runs it inline on the submitting
+  /// thread). It must not throw and must not block; calling the ticket's
+  /// wait() from inside it is fine (the batch is already done, so wait()
+  /// returns — or rethrows the first worker error — immediately). The hook
+  /// is dropped as soon as it has run, so state it captures does not
+  /// outlive the batch.
   Batch submit(const Query* queries, std::size_t count, Decision* out,
-               std::shared_ptr<const DeltaSet> delta);
-  Batch submit(const Query* queries, std::size_t count, Decision* out,
-               std::shared_ptr<const DeltaSet> delta,
-               std::function<void()> on_complete);
-
-  /// As submit(), and additionally invokes `on_complete` exactly once when
-  /// every query of the batch is answered — the completion hook the
-  /// network front-end (src/net) uses to finish a request without parking
-  /// a thread in wait(). The callback runs on the worker thread that
-  /// retires the batch's last sub-batch, after all accounting (an empty
-  /// batch invokes it inline on the submitting thread). It must not throw
-  /// and must not block; calling the ticket's wait() from inside it is
-  /// fine (the batch is already done, so wait() returns — or rethrows the
-  /// first worker error — immediately). The callback is dropped as soon as
-  /// it has run, so state captured by it does not outlive the batch.
-  Batch submit(const Query* queries, std::size_t count, Decision* out,
-               std::function<void()> on_complete);
+               std::shared_ptr<const DeltaSet> delta = nullptr,
+               std::function<void()> on_complete = {});
 
   /// Blocking convenience: submit + wait.
   void serve(const Query* queries, std::size_t count, Decision* out);
@@ -159,9 +154,6 @@ class ShardedRouteServer {
   struct Shard;
   struct Worker;
   void worker(Worker& w);
-  Batch submit_impl(const Query* queries, std::size_t count, Decision* out,
-                    std::shared_ptr<const DeltaSet> delta);
-  static Batch attach_hook(Batch ticket, std::function<void()> on_complete);
 
   const FrozenScheme* fs_;
   ShardedOptions opt_;

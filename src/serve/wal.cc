@@ -13,6 +13,7 @@
 #include <cstring>
 
 #include "core/serialize.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 
@@ -25,26 +26,9 @@ constexpr std::uint32_t kWalVersion = 1;
 constexpr std::uint32_t kRecMagic = 0x3152574Eu;  // "NWR1"
 constexpr std::uint32_t kFlagSnapshot = 1u;
 
-template <typename T>
-T read_le(const std::uint8_t* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return v;
-}
-
-template <typename T>
-void write_le(std::uint8_t* p, T v) {
-  std::memcpy(p, &v, sizeof(T));
-}
-
-std::uint64_t fnv1a64(const std::uint8_t* p, std::size_t len) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+using util::fnv1a;
+using util::read_le;
+using util::write_le;
 
 std::int64_t steady_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -60,12 +44,9 @@ std::int64_t steady_ms() {
 /// durable — a WAL whose records are safe but whose *name* is not would
 /// vanish wholesale on reboot.
 void sync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) throw_errno("wal: open dir for fsync", errno);
-  const int rc = ::fsync(fd);
-  const int err = errno;
-  ::close(fd);
-  if (rc != 0) throw_errno("wal: fsync dir", err);
+  if (const int err = util::fsync_dir(dir); err != 0) {
+    throw_errno("wal: fsync dir", err);
+  }
 }
 
 bool parse_segment_name(const std::string& name, std::uint64_t& base) {
@@ -136,7 +117,7 @@ std::vector<std::uint8_t> Wal::encode_record(
   write_le<std::uint32_t>(p + 20, 0);
   if (!body.empty()) std::memcpy(p + kRecHeaderBytes, body.data(), body.size());
   write_le<std::uint64_t>(p + kRecHeaderBytes + body.size(),
-                          fnv1a64(p, kRecHeaderBytes + body.size()));
+                          fnv1a(p, kRecHeaderBytes + body.size()));
   return rec;
 }
 
@@ -266,7 +247,7 @@ void Wal::recover(const std::function<void(const WalRecord&)>& replay) {
       }
       const std::uint64_t want =
           read_le<std::uint64_t>(p + kRecHeaderBytes + body_len);
-      if (fnv1a64(p, kRecHeaderBytes + body_len) != want) {
+      if (fnv1a(p, kRecHeaderBytes + body_len) != want) {
         if (remaining == total) {
           torn = true;  // checksum breaks exactly at EOF: interrupted append
           break;
@@ -354,17 +335,10 @@ void Wal::open_fresh_segment(std::uint64_t base_seq) {
       ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
   if (fd < 0) throw_errno(("wal: create segment " + path).c_str(), errno);
   const auto header = encode_segment_header(base_seq);
-  std::size_t wrote = 0;
-  while (wrote < header.size()) {
-    const ssize_t k = ::write(fd, header.data() + wrote,
-                              header.size() - wrote);
-    if (k < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      throw_errno("wal: write segment header", err);
-    }
-    wrote += static_cast<std::size_t>(k);
+  if (const int err = util::write_all(fd, header.data(), header.size());
+      err != 0) {
+    ::close(fd);
+    throw_errno("wal: write segment header", err);
   }
   if (opt_.fsync != FsyncPolicy::kOff) {
     if (::fdatasync(fd) != 0) {
@@ -514,16 +488,9 @@ void Wal::reset(std::uint64_t last_seq,
       const auto rec = encode_record(last_seq, /*snapshot=*/true, *snapshot);
       bytes.insert(bytes.end(), rec.begin(), rec.end());
     }
-    std::size_t wrote = 0;
-    while (wrote < bytes.size()) {
-      const ssize_t k =
-          ::write(fd, bytes.data() + wrote, bytes.size() - wrote);
-      if (k < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("wal: write reset segment", errno);
-      }
-      if (k == 0) throw_errno("wal: write reset segment", ENOSPC);
-      wrote += static_cast<std::size_t>(k);
+    if (const int err = util::write_all(fd, bytes.data(), bytes.size());
+        err != 0) {
+      throw_errno("wal: write reset segment", err);
     }
     // The squash replaces history: it must be durable before history goes,
     // regardless of the append-path fsync policy.

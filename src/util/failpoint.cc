@@ -6,6 +6,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace nors::util {
@@ -48,15 +49,6 @@ double roll(std::uint64_t& s) {
   return static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 
-std::uint64_t fnv1a_str(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 Fp parse_one(const std::string& name, const std::string& mode,
              const std::string& rate, const std::string& arg) {
   Fp fp;
@@ -86,7 +78,7 @@ Fp parse_one(const std::string& name, const std::string& mode,
     NORS_CHECK_MSG(fp.delay_ms >= 0,
                    "bad failpoint arg '" << arg << "' for '" << name << "'");
   }
-  fp.rng = fnv1a_str(name);
+  fp.rng = fnv1a(name.data(), name.size());
   return fp;
 }
 

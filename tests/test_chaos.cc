@@ -318,7 +318,7 @@ TEST(Chaos, ReloadFailureKeepsTheOldImageServing) {
     // The SIGHUP path of route_serviced: a failing re-map must not take
     // serving down — the daemon catches and keeps the old generation.
     FailpointGuard fp("frozen.map:error:1");
-    EXPECT_THROW(server.reload_file(path), std::runtime_error);
+    EXPECT_THROW(server.tables().reload_file(path), std::runtime_error);
   }
   EXPECT_EQ(server.stats().reloads, 0);
 
@@ -329,7 +329,7 @@ TEST(Chaos, ReloadFailureKeepsTheOldImageServing) {
   }
 
   // And once the fault clears, the reload goes through.
-  server.reload_file(path);
+  server.tables().reload_file(path);
   EXPECT_EQ(server.stats().reloads, 1);
   ::unlink(path.c_str());
 }

@@ -305,11 +305,15 @@ TEST(DeltaSet, UnknownAndSelfLoopEdgesAreCountedAndSkipped) {
   }
   ASSERT_LT(b, g.n());
   serve::DeltaStats st;
-  const std::vector<EdgeUpdate> batch{EdgeUpdate::weight(a, b, 9),
-                                      EdgeUpdate::fail(5, 5)};
+  // A vertex outside the image names no edge either: refusing it is the
+  // table service's rule, and apply() must only never read past the image.
+  const std::vector<EdgeUpdate> batch{
+      EdgeUpdate::weight(a, b, 9), EdgeUpdate::fail(5, 5),
+      EdgeUpdate::weight(0, static_cast<Vertex>(g.n()), 3),
+      EdgeUpdate::fail(-1, 2)};
   const auto ds = DeltaSet::apply(fs, nullptr, batch, &st);
   EXPECT_EQ(st.applied, 0);
-  EXPECT_EQ(st.unknown_edges, 2);
+  EXPECT_EQ(st.unknown_edges, 4);
   EXPECT_EQ(ds->override_count(), 0);
 }
 

@@ -8,6 +8,7 @@
 
 #include "graph/generators.h"
 #include "serve/frozen.h"
+#include "util/bytes.h"
 
 // Property/fuzz hardening pass over the NORSFRZ1 frozen-table format: take
 // valid images, corrupt them (single-bit flips, truncations, multi-byte
@@ -223,18 +224,9 @@ TEST_F(FrozenFuzz, GarbageTailsAndForeignFilesAreRejected) {
 // over-long encodings, section-length mismatches) are what must reject —
 // the threat model is a forged image, not an accidental flip.
 
-std::uint64_t fnv1a(const std::uint8_t* p, std::size_t len) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 void repatch_checksum(std::vector<std::uint8_t>& bytes) {
   ASSERT_GE(bytes.size(), 8u);
-  const std::uint64_t sum = fnv1a(bytes.data(), bytes.size() - 8);
+  const std::uint64_t sum = util::fnv1a(bytes.data(), bytes.size() - 8);
   std::memcpy(bytes.data() + bytes.size() - 8, &sum, 8);
 }
 

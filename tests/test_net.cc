@@ -409,9 +409,9 @@ TEST(NetReload, SwapNeverTearsAResponse) {
   for (int swap = 0; swap < 5; ++swap) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     if (swap % 2 == 0) {
-      server.reload(serve::FrozenScheme::load(frozen_b.save()));
+      server.tables().reload(serve::FrozenScheme::load(frozen_b.save()));
     } else {
-      server.reload(serve::FrozenScheme::load(ref_a.save()));
+      server.tables().reload(serve::FrozenScheme::load(ref_a.save()));
     }
   }
   // Keep traffic flowing until at least one post-reload frame answered
@@ -551,15 +551,15 @@ TEST(NetUpdate, UpdateAndReloadSwapsAreAtomicUnderPipelinedLoad) {
   // Chain 1: apply every batch under load.
   for (const auto& batch : batches) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    server.apply_updates(batch);
+    server.tables().apply(batch);
   }
   // SIGHUP under load: back to the base generation (deltas dropped)...
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  server.reload(serve::FrozenScheme::load(reference.save()));
+  server.tables().reload(serve::FrozenScheme::load(reference.save()));
   // ...and chain 2 rebuilds to the head generation again.
   for (const auto& batch : batches) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    server.apply_updates(batch);
+    server.tables().apply(batch);
   }
 
   for (int spin = 0; matched_head.load() == 0 && spin < 10000; ++spin) {

@@ -1,5 +1,6 @@
-// Durability + replication tests (DESIGN.md §14): the WAL wired through
-// the serving daemon, checkpoint compaction, the kSubscribe/kRepl stream,
+// Durability + replication tests (DESIGN.md §14): the table service's
+// write-side rules driven with no socket, the WAL wired through the
+// serving daemon, checkpoint compaction, the kSubscribe/kRepl stream,
 // read-only replicas that follow a primary, and client endpoint failover.
 // The recurring assertion shape: two daemons (a rebooted one and its
 // never-crashed twin, or a replica and its primary) must answer every
@@ -21,6 +22,7 @@
 #include "graph/generators.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/tables.h"
 #include "net/wire.h"
 #include "serve/delta.h"
 #include "serve/frozen.h"
@@ -150,6 +152,155 @@ bool wait_until(Pred p, int timeout_ms = 15000) {
   return p();
 }
 
+// ---- the table service, socket-free --------------------------------------
+
+/// The ErrorCode of the TableError `fn` threw (kNone if it did not throw).
+template <typename Fn>
+net::ErrorCode refusal(Fn&& fn) {
+  try {
+    fn();
+  } catch (const net::TableError& e) {
+    return e.code;
+  }
+  return net::ErrorCode::kNone;
+}
+
+std::vector<std::uint8_t> encoded(std::span<const EdgeUpdate> events) {
+  std::vector<std::uint8_t> out;
+  serve::encode_edge_updates(out, events);
+  return out;
+}
+
+/// Decodes what the service streams to one subscriber.
+struct VectorSink : net::ReplSink {
+  std::vector<net::ReplFrame> got;
+  bool alive() const override { return true; }
+  void push(std::span<const std::vector<std::uint8_t>> frames) override {
+    for (const auto& f : frames) {
+      got.push_back(net::decode_repl(
+          net::parse_frame(f.data(), f.size()).frame.body));
+    }
+  }
+};
+
+TEST(TableService, ReplicaRefusesLocalUpdatesButAppliesReplicated) {
+  const auto g = test_graph(150, 151);
+  auto frozen = build_frozen(g, 3, 9);
+  const auto reference = serve::FrozenScheme::load(frozen.save());
+  const auto edges = all_edges(g);
+  util::Rng rng(157);
+  net::NetServerOptions opt;
+  opt.replica_of = "127.0.0.1:1";  // never contacted: no Server, no socket
+  net::TableService tables(std::move(frozen), opt);
+
+  EXPECT_EQ(refusal([&] { tables.apply(edge_batch(edges, rng, 6)); }),
+            net::ErrorCode::kReadOnly);
+  EXPECT_EQ(tables.seq(), 0u);
+  EXPECT_EQ(tables.current()->delta, nullptr);
+
+  // The follower's door still writes, at the primary's seq; re-delivery
+  // of a held seq is acked without effect.
+  const auto batch = edge_batch(edges, rng, 6);
+  EXPECT_EQ(tables.apply_replicated(1, false, batch).seq, 1u);
+  EXPECT_EQ(tables.apply_replicated(1, false, batch).seq, 1u);
+  const auto gen = tables.current();
+  EXPECT_EQ(encoded(gen->delta->as_edge_updates(*gen->fs)),
+            encoded(serve::DeltaSet::apply(reference, nullptr, batch)
+                        ->as_edge_updates(reference)));
+  net::WireStats s;
+  tables.fill_stats(s);
+  EXPECT_EQ(s.update_seq, 1);
+  EXPECT_EQ(s.repl_applied, 1);
+}
+
+TEST(TableService, WriteRulesRefuseInOrderAndPublishNothing) {
+  TempDir td;
+  const auto g = test_graph(140, 167);
+  const auto edges = all_edges(g);
+  util::Rng rng(173);
+  auto outside = edge_batch(edges, rng, 3);
+  outside.push_back(EdgeUpdate::weight(0, static_cast<Vertex>(g.n()), 5));
+  net::NetServerOptions opt;
+  opt.wal_dir = td.sub("wal");
+  net::TableService tables(build_frozen(g, 3, 7), opt);
+
+  {
+    // Range before WAL: an out-of-range batch never reaches the log.
+    FailpointGuard fp("wal.append:error:1");
+    EXPECT_EQ(refusal([&] { tables.apply(outside); }),
+              net::ErrorCode::kBadQuery);
+    EXPECT_EQ(refusal([&] { tables.apply(edge_batch(edges, rng, 3)); }),
+              net::ErrorCode::kWalError);
+  }
+  net::WireStats s;
+  tables.fill_stats(s);
+  EXPECT_EQ(s.wal_errors, 1);
+  EXPECT_EQ(s.updates, 0);
+  EXPECT_EQ(tables.current()->delta, nullptr);  // nothing published
+  EXPECT_EQ(tables.apply(edge_batch(edges, rng, 3)).seq, 1u);
+
+  // Range before draining; every write door is shut once closed.
+  tables.close();
+  EXPECT_EQ(refusal([&] { tables.apply(outside); }),
+            net::ErrorCode::kBadQuery);
+  EXPECT_EQ(refusal([&] { tables.apply(edge_batch(edges, rng, 3)); }),
+            net::ErrorCode::kDraining);
+  EXPECT_EQ(refusal([&] { tables.checkpoint(); }), net::ErrorCode::kDraining);
+  EXPECT_EQ(refusal([&] { tables.subscribe(0, nullptr); }),
+            net::ErrorCode::kDraining);
+  EXPECT_EQ(tables.seq(), 1u);
+}
+
+TEST(TableService, SubscribeHandsOverTheHeadThenEveryLaterBatch) {
+  const auto g = test_graph(140, 179);
+  const auto edges = all_edges(g);
+  util::Rng rng(181);
+  net::TableService tables(build_frozen(g, 3, 7), {});
+  tables.apply(edge_batch(edges, rng, 5));
+  tables.apply(edge_batch(edges, rng, 5));
+
+  // Behind: the head plus a snapshot of everything up to it. In sync: no
+  // catch-up.
+  auto behind = std::make_shared<VectorSink>();
+  auto in_sync = std::make_shared<VectorSink>();
+  const auto sub = tables.subscribe(0, behind);
+  EXPECT_EQ(sub.head, 2u);
+  ASSERT_EQ(sub.catch_up.size(), 1u);
+  const auto snap = net::decode_repl(sub.catch_up[0]);
+  EXPECT_TRUE(snap.snapshot);
+  EXPECT_EQ(snap.seq, 2u);
+  const auto gen = tables.current();
+  EXPECT_EQ(encoded(snap.events),
+            encoded(gen->delta->as_edge_updates(*gen->fs)));
+  EXPECT_TRUE(tables.subscribe(2, in_sync).catch_up.empty());
+
+  // Every later batch reaches both, once, in apply order.
+  const auto b3 = edge_batch(edges, rng, 4);
+  tables.apply(b3);
+  tables.apply(edge_batch(edges, rng, 4));
+  for (const auto* sink : {behind.get(), in_sync.get()}) {
+    ASSERT_EQ(sink->got.size(), 2u);
+    EXPECT_EQ(sink->got[0].seq, 3u);
+    EXPECT_EQ(sink->got[1].seq, 4u);
+    EXPECT_EQ(encoded(sink->got[0].events), encoded(b3));
+  }
+}
+
+TEST(Replication, MalformedReplicaOfIsRefusedAtConstruction) {
+  const auto image = build_frozen(test_graph(100, 191), 2, 7).save();
+  net::Server primary(serve::FrozenScheme::load(image), {});
+  net::NetServerOptions opt;
+  for (const char* bad : {"bogus", "127.0.0.1:notaport", "127.0.0.1:99999",
+                          "127.0.0.1:0", "127.0.0.1:"}) {
+    opt.replica_of = bad;
+    EXPECT_THROW(net::Server(serve::FrozenScheme::load(image), opt),
+                 std::invalid_argument)
+        << bad;
+  }
+  opt.replica_of = "127.0.0.1:" + std::to_string(primary.port());
+  EXPECT_NO_THROW(net::Server(serve::FrozenScheme::load(image), opt));
+}
+
 // ---- the subscription stream ------------------------------------------
 
 TEST(Replication, SubscribeStreamsEveryAppliedBatch) {
@@ -166,7 +317,7 @@ TEST(Replication, SubscribeStreamsEveryAppliedBatch) {
   EXPECT_TRUE(wait_until([&] { return server.stats().subscribers == 1; }));
 
   const auto b1 = edge_batch(edges, rng, 6);
-  const auto ack = server.apply_updates(b1);
+  const auto ack = server.tables().apply(b1);
   EXPECT_EQ(ack.seq, 1u);
 
   const auto f = sub.recv_frame();
@@ -218,8 +369,8 @@ TEST(Replication, LateSubscriberCatchesUpViaSnapshot) {
   const auto edges = all_edges(g);
   util::Rng rng(59);
 
-  server.apply_updates(edge_batch(edges, rng, 8));
-  server.apply_updates(edge_batch(edges, rng, 8));
+  server.tables().apply(edge_batch(edges, rng, 8));
+  server.tables().apply(edge_batch(edges, rng, 8));
 
   net::ClientOptions copt;
   copt.port = server.port();
@@ -250,7 +401,7 @@ TEST(Replication, LateSubscriberCatchesUpViaSnapshot) {
   // In-sync subscribers get no catch-up, just the next live push.
   net::Client sub2(copt);
   EXPECT_EQ(sub2.subscribe(2), 2u);
-  server.apply_updates(edge_batch(edges, rng, 4));
+  server.tables().apply(edge_batch(edges, rng, 4));
   const auto live = sub2.recv_frame();
   ASSERT_EQ(live.type, net::FrameType::kRepl);
   const auto lf = net::decode_repl(live.body);
@@ -313,7 +464,7 @@ TEST(Replication, StreamGapForcesResubscribeWithSnapshot) {
   ropt.replica_of = "127.0.0.1:" + std::to_string(primary.port());
   net::Server replica(serve::FrozenScheme::load(image), ropt);
 
-  primary.apply_updates(edge_batch(edges, rng, 6));
+  primary.tables().apply(edge_batch(edges, rng, 6));
   ASSERT_TRUE(wait_until([&] { return replica.stats().update_seq == 1; }));
 
   {
@@ -322,8 +473,8 @@ TEST(Replication, StreamGapForcesResubscribeWithSnapshot) {
     // catch-up snapshot repairs it. Updates are never applied out of
     // order or with a hole.
     FailpointGuard fp("repl.stream:oneshot:1");
-    primary.apply_updates(edge_batch(edges, rng, 6));  // push dropped
-    primary.apply_updates(edge_batch(edges, rng, 6));  // arrives: gap
+    primary.tables().apply(edge_batch(edges, rng, 6));  // push dropped
+    primary.tables().apply(edge_batch(edges, rng, 6));  // arrives: gap
     ASSERT_TRUE(wait_until([&] { return replica.stats().update_seq == 3; }))
         << "replica stuck at seq " << replica.stats().update_seq;
   }
@@ -418,9 +569,9 @@ TEST(Replication, AutoCheckpointRunsOnCadence) {
   opt.wal_dir = td.sub("wal");
   opt.checkpoint_every = 2;
   net::Server server(build_frozen(g, 3, 7), opt);
-  server.apply_updates(edge_batch(edges, rng, 4));
+  server.tables().apply(edge_batch(edges, rng, 4));
   EXPECT_EQ(server.stats().checkpoints, 0);
-  server.apply_updates(edge_batch(edges, rng, 4));
+  server.tables().apply(edge_batch(edges, rng, 4));
   EXPECT_EQ(server.stats().checkpoints, 1);
 }
 

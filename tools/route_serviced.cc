@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
       // generation.
       const auto batches = serve::load_update_journal(flags.updates);
       for (const auto& batch : batches) {
-        const auto ack = server.apply_updates(batch);
+        const auto ack = server.tables().apply(batch);
         std::fprintf(stderr,
                      "updates: gen %llu — %lld applied, %lld unknown, "
                      "%lld overrides, %lld failed links, %lld masked "
@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
       if (sigwait(&sigs, &sig) != 0) continue;
       if (sig == SIGHUP) {
         try {
-          server.reload_file(flags.image);
+          server.tables().reload_file(flags.image);
           std::fprintf(stderr, "reloaded %s\n", flags.image.c_str());
         } catch (const std::exception& e) {
           // A broken image on disk must not take serving down; keep the
