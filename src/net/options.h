@@ -21,11 +21,13 @@ struct NetServerOptions {
 
   /// Worker event loops. Connections are assigned round-robin at accept
   /// and stay pinned to their loop — no cross-loop locking on the hot
-  /// path. Clamped to [1, hardware concurrency] like the serving pools
+  /// path. Clamped to [1, hardware concurrency] like the serving pool
   /// (util::resolve_threads; NORS_THREADS_OVERSUBSCRIBE=1 opts out).
   int loops = 1;
 
-  /// ShardedRouteServer geometry per generation (see serve/shard.h).
+  /// Geometry of the server's one ShardedRouteServer, which serves every
+  /// generation (see serve/shard.h). The shard count is clamped to the
+  /// boot image's vertex count.
   int shards = 1;
   int cache_entries = 0;
 

@@ -181,12 +181,6 @@ struct Server::Impl {
   std::thread accept_thread;
   std::vector<std::unique_ptr<Loop>> loops;
 
-  /// Where a completion callback parks its Pending when the owning loop
-  /// has already exited (post-drain straggler): disposal is deferred to
-  /// drain(), after every worker is joined.
-  std::mutex grave_m;
-  std::vector<std::shared_ptr<Pending>> grave;
-
   std::atomic<bool> draining{false};
   std::mutex drain_m;
   bool drained = false;
@@ -274,16 +268,9 @@ struct Server::Impl {
       if (l->thread.joinable()) l->thread.join();
     }
     if (follower_thread.joinable()) follower_thread.join();
-    // The order that keeps a shard pool from joining itself: loops joined
-    // (nothing submits any more) → pools joined, on *this* thread
-    // (release(); ~ShardedRouteServer joins its workers, which must never
-    // happen on one of them) → grave cleared (every completion callback
-    // has fully run, so the grave is complete).
+    // Nothing submits any more: join the shard pool, which lets every
+    // batch still queued complete first.
     tables.release();
-    {
-      std::lock_guard<std::mutex> glk(grave_m);
-      grave.clear();
-    }
     drained = true;
   }
 
@@ -732,29 +719,21 @@ struct Server::Impl {
     for (auto& e : extras) enqueue(l, c, std::move(e));
     if (p->is_route) {
       // Submit after queueing so the completion (delivered back to this
-      // loop through the inbox) always finds the pending in order. The
-      // callback MOVES its Pending reference out — a shard worker must
-      // never end up holding the last reference to a generation (its
-      // destructor would self-join; see TableService::gens_).
+      // loop through the inbox) always finds the pending in order. When
+      // the loop has already exited, the completion just drops its
+      // Pending: that frees at most a generation's image and overlay.
       auto inbox = l.inbox;
-      p->batch = p->gen->srv->submit(
-          p->queries.data(), p->queries.size(), p->decisions.data(),
-          p->gen->delta, [this, p, inbox]() mutable {
+      p->batch = tables.pool().submit(
+          p->gen->fs, p->queries.data(), p->queries.size(),
+          p->decisions.data(), p->gen->delta, [this, p, inbox]() mutable {
             // The shards are done with this batch: release its budget
             // charge whether or not the connection is still there.
             inflight_queries.fetch_sub(p->charged,
                                        std::memory_order_relaxed);
-            auto mine = std::move(p);
-            {
-              std::lock_guard<std::mutex> lk(inbox->m);
-              if (inbox->open) {
-                inbox->done.push_back(std::move(mine));
-                inbox->wake();
-                return;
-              }
-            }
-            std::lock_guard<std::mutex> lk(grave_m);
-            grave.push_back(std::move(mine));
+            std::lock_guard<std::mutex> lk(inbox->m);
+            if (!inbox->open) return;
+            inbox->done.push_back(std::move(p));
+            inbox->wake();
           });
     }
   }

@@ -88,17 +88,13 @@ void require_in_range(const serve::FrozenScheme& fs,
 
 }  // namespace
 
-TableService::Gen::Gen(serve::FrozenScheme f, const NetServerOptions& o)
-    : fs(std::make_shared<serve::FrozenScheme>(std::move(f))) {
-  serve::ShardedOptions so;
-  so.shards = o.shards;
-  so.cache_entries = o.cache_entries;
-  srv = std::make_shared<serve::ShardedRouteServer>(*fs, so);
-}
-
 TableService::TableService(serve::FrozenScheme fs, NetServerOptions opt)
-    : opt_(std::move(opt)) {
-  swap_locked(std::make_shared<Gen>(std::move(fs), opt_));
+    : opt_(std::move(opt)),
+      gen_(std::make_shared<const Gen>(
+          Gen{std::make_shared<const serve::FrozenScheme>(std::move(fs)),
+              nullptr})),
+      pool_(*gen_->fs,
+            {.shards = opt_.shards, .cache_entries = opt_.cache_entries}) {
   if (opt_.wal_dir.empty()) return;
   // Recover before the service is reachable: replay every logged batch
   // over the image, so a rebooted daemon serves exactly what a
@@ -114,10 +110,11 @@ TableService::TableService(serve::FrozenScheme fs, NetServerOptions opt)
   wal_ = std::make_unique<serve::Wal>(
       opt_.wal_dir, wo, [this](const serve::WalRecord& r) {
         require_in_range(*gen_->fs, r.events);
-        swap_locked(std::make_shared<Gen>(
-            *gen_, serve::DeltaSet::apply(
-                       *gen_->fs, r.snapshot ? nullptr : gen_->delta.get(),
-                       r.events)));
+        gen_ = std::make_shared<const Gen>(
+            Gen{gen_->fs, serve::DeltaSet::apply(
+                              *gen_->fs,
+                              r.snapshot ? nullptr : gen_->delta.get(),
+                              r.events)});
       });
   seq_ = wal_->last_seq();
 }
@@ -132,18 +129,6 @@ std::shared_ptr<const TableService::Gen> TableService::current() const {
 std::uint64_t TableService::seq() const {
   std::lock_guard<std::mutex> lk(m_);
   return seq_;
-}
-
-void TableService::swap_locked(std::shared_ptr<Gen> next) {
-  gen_ = std::move(next);
-  gens_.push_back(gen_);
-  // Erase retired generations nothing references any more — but only
-  // while their shard pool is co-owned by a surviving generation, so the
-  // erase never destroys a ShardedRouteServer (whose destructor joins
-  // threads) from whatever thread swapped.
-  std::erase_if(gens_, [this](const std::shared_ptr<Gen>& g) {
-    return g != gen_ && g.use_count() == 1 && g->srv.use_count() > 1;
-  });
 }
 
 UpdateAck TableService::apply(std::span<const serve::EdgeUpdate> batch) {
@@ -203,7 +188,7 @@ UpdateAck TableService::commit(std::span<const serve::EdgeUpdate> batch,
         throw TableError(ErrorCode::kWalError, e.what());
       }
     }
-    swap_locked(std::make_shared<Gen>(*gen_, std::move(delta)));
+    gen_ = std::make_shared<const Gen>(Gen{gen_->fs, std::move(delta)});
     seq_ = seq;
     push_locked(seq, snapshot, batch);
   }
@@ -290,11 +275,13 @@ CheckpointAck TableService::checkpoint() {
 }
 
 void TableService::reload(serve::FrozenScheme fs) {
-  auto next = std::make_shared<Gen>(std::move(fs), opt_);
+  auto next = std::make_shared<const Gen>(
+      Gen{std::make_shared<const serve::FrozenScheme>(std::move(fs)), nullptr});
   {
     std::lock_guard<std::mutex> lk(m_);
     if (closed_) return;  // too late
-    swap_locked(std::move(next));
+    // The old generation goes with the last batch still holding it.
+    gen_ = std::move(next);
     // A reload drops the delta chain by design, so the WAL records that
     // described it are void too: truncate to an empty log at the current
     // seq. (Replicas of a reloaded primary must be restarted with the new
@@ -338,17 +325,10 @@ void TableService::fill_stats(WireStats& s) const {
   s.wal_errors = wal_errors_.load(std::memory_order_relaxed);
   s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   s.repl_applied = repl_applied_.load(std::memory_order_relaxed);
+  const auto t = pool_.totals();
+  s.masked = t.masked;
+  s.repaired = t.repaired;
   std::lock_guard<std::mutex> lk(m_);
-  // Overlay-serving counters, attributed per shard pool: generations
-  // sharing one pool share its counts, so sum over *distinct* pools.
-  const serve::ShardedRouteServer* last = nullptr;
-  for (const auto& g : gens_) {
-    if (g->srv.get() == last) continue;  // delta chain: same pool
-    last = g->srv.get();
-    const auto t = g->srv->totals();
-    s.masked += t.masked;
-    s.repaired += t.repaired;
-  }
   s.update_seq = static_cast<std::int64_t>(seq_);
   if (wal_ != nullptr) s.wal_records = wal_->stats().appends;
   for (const auto& sub : subscribers_) {
@@ -362,18 +342,13 @@ void TableService::close() {
 }
 
 void TableService::release() {
-  std::vector<std::shared_ptr<Gen>> gens;
   {
     std::lock_guard<std::mutex> lk(m_);
     closed_ = true;
-    gens.swap(gens_);
     gen_.reset();
     subscribers_.clear();
   }
-  // Quiesce every generation from *this* thread: ~ShardedRouteServer
-  // joins its workers, which must never happen on one of them. Route
-  // batches still holding a Gen keep only its image and overlay.
-  for (auto& g : gens) g->srv.reset();
+  pool_.close();
 }
 
 }  // namespace nors::net

@@ -41,24 +41,19 @@ class ReplSink {
 
 /// The serving tables and their write side, with no socket in sight
 /// (DESIGN.md §11.2, §14.2): the refcounted image generations, the one
-/// write path every update takes (read-only → range → draining → WAL
-/// append → publish → replicate), WAL recovery, reload, checkpoints and
-/// the replication subscribers. net::Server owns one and adds the
-/// transport. Every member is safe from any thread.
+/// shard pool that routes on all of them, the one write path every update
+/// takes (read-only → range → draining → WAL append → publish →
+/// replicate), WAL recovery, reload, checkpoints and the replication
+/// subscribers. net::Server owns one and adds the transport. Every member
+/// is safe from any thread.
 class TableService {
  public:
-  /// One serving view: an image, its sharded compute, and (possibly) a
-  /// delta overlay. A route batch holds a shared_ptr, so a swap never
-  /// invalidates it. reload() builds a fresh image and shard pool; an
-  /// update *shares* both with its predecessor and swaps only the
-  /// immutable DeltaSet — a hash table, not a thread pool.
+  /// One serving view: an image and (possibly) a delta overlay. A route
+  /// batch holds a shared_ptr, so a swap never invalidates it. reload()
+  /// swaps in a fresh image; an update *shares* the image with its
+  /// predecessor and swaps only the immutable DeltaSet.
   struct Gen {
-    Gen(serve::FrozenScheme f, const NetServerOptions& o);
-    /// Delta successor: same image and compute, new overlay.
-    Gen(const Gen& base, std::shared_ptr<const serve::DeltaSet> d)
-        : fs(base.fs), srv(base.srv), delta(std::move(d)) {}
-    std::shared_ptr<serve::FrozenScheme> fs;
-    std::shared_ptr<serve::ShardedRouteServer> srv;
+    std::shared_ptr<const serve::FrozenScheme> fs;
     std::shared_ptr<const serve::DeltaSet> delta;  // null = unpatched
   };
 
@@ -78,6 +73,12 @@ class TableService {
 
   /// The generation new route batches run on (null after release()).
   std::shared_ptr<const Gen> current() const;
+
+  /// The shard pool every generation's route batches are submitted to,
+  /// with that generation's image and delta (its serve() answers on the
+  /// boot image, which a reload frees). Built at construction; release()
+  /// joins it, and its counters stay readable after.
+  serve::ShardedRouteServer& pool() { return pool_; }
 
   /// Durable sequence number of the newest published batch. Recovered
   /// from the WAL at boot; monotonic across reloads and checkpoints.
@@ -110,14 +111,15 @@ class TableService {
   /// Registers `sink` for every batch applied after the returned head.
   Subscription subscribe(std::uint64_t have, std::shared_ptr<ReplSink> sink);
 
-  /// Fills the table-side fields of a kStats snapshot.
+  /// Fills the table-side fields of a kStats snapshot (the pool's masked
+  /// and repaired counts among them).
   void fill_stats(WireStats& s) const;
 
   /// Refuses every write from now on with kDraining. Idempotent.
   void close();
 
-  /// close(), then drops every generation, joining their shard pools on
-  /// the calling thread: call it once nothing submits any more.
+  /// close(), then drops the current generation and joins the shard pool:
+  /// call it once nothing submits any more.
   void release();
 
   bool read_only() const { return !opt_.replica_of.empty(); }
@@ -126,7 +128,6 @@ class TableService {
  private:
   UpdateAck commit(std::span<const serve::EdgeUpdate> batch,
                    std::uint64_t repl_seq, bool snapshot);
-  void swap_locked(std::shared_ptr<Gen> next);
   void push_locked(std::uint64_t seq, bool snapshot,
                    std::span<const serve::EdgeUpdate> events);
   void maybe_auto_checkpoint();
@@ -136,13 +137,8 @@ class TableService {
   /// Guards gen_ through subscribers_. Every write (commit, checkpoint,
   /// reload) runs whole under it, so writes linearize.
   mutable std::mutex m_;
-  std::shared_ptr<Gen> gen_;
-  /// Every live generation. A ShardedRouteServer's destructor joins its
-  /// workers, so the last reference to one must never drop on one of
-  /// them: pinned here, they are all released on the draining thread.
-  /// Retired delta generations are pruned on each swap; retired image
-  /// generations (reloads are rare) stay until release().
-  std::vector<std::shared_ptr<Gen>> gens_;
+  std::shared_ptr<const Gen> gen_;
+  serve::ShardedRouteServer pool_;  // built over gen_'s boot image
   std::unique_ptr<serve::Wal> wal_;  // null = no WAL
   std::uint64_t seq_ = 0;
   bool closed_ = false;

@@ -1,9 +1,11 @@
 #include "serve/shard.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "serve/delta.h"
@@ -44,8 +46,9 @@ struct ShardedRouteServer::Task {
   const Query* queries = nullptr;
   Decision* out = nullptr;
   const std::vector<std::uint32_t>* idx = nullptr;  // into state->idx
-  // Delta overlay for this sub-batch (null = unpatched image). The Task's
-  // shared_ptr pins the generation until the sub-batch retires.
+  // Image and delta overlay of this sub-batch (null delta = unpatched
+  // image). The Task's shared_ptrs pin both until the sub-batch retires.
+  std::shared_ptr<const FrozenScheme> fs;
   std::shared_ptr<const DeltaSet> delta;
 };
 
@@ -53,7 +56,6 @@ struct ShardedRouteServer::Task {
 /// live in Worker, so the shard count (and with it ranges, dispatch and
 /// per-range stats) is independent of how many cores serve them.
 struct ShardedRouteServer::Shard {
-  graph::Vertex lo = 0, hi = 0;  // owned source-vertex range [lo, hi)
   std::atomic<std::int64_t> queries{0};
   std::atomic<std::int64_t> batches{0};
   std::atomic<std::int64_t> hops{0};
@@ -92,27 +94,13 @@ bool ShardedRouteServer::Batch::done() const {
 
 ShardedRouteServer::ShardedRouteServer(const FrozenScheme& fs,
                                        ShardedOptions opt)
-    : fs_(&fs), opt_(opt) {
-  NORS_CHECK_MSG(opt_.shards >= 1, "ShardedRouteServer needs >= 1 shard");
-  NORS_CHECK(opt_.cache_entries >= 0);
-  const int n = fs.n();
-  const int k = std::max(1, std::min(opt_.shards, std::max(1, n)));
-  opt_.shards = k;
-  span_ = static_cast<std::size_t>(
-      (std::max(1, n) + k - 1) / k);
+    : fs_(&fs, [](const FrozenScheme*) {}),
+      cache_entries_(opt.cache_entries) {
+  NORS_CHECK_MSG(opt.shards >= 1, "ShardedRouteServer needs >= 1 shard");
+  NORS_CHECK(opt.cache_entries >= 0);
+  const int k = std::max(1, std::min(opt.shards, fs.n()));
   shards_.reserve(static_cast<std::size_t>(k));
-  for (int s = 0; s < k; ++s) {
-    auto sh = std::make_unique<Shard>();
-    sh->lo = static_cast<graph::Vertex>(
-        std::min<std::size_t>(static_cast<std::size_t>(s) * span_,
-                              static_cast<std::size_t>(n)));
-    sh->hi = s + 1 == k
-                 ? static_cast<graph::Vertex>(n)
-                 : static_cast<graph::Vertex>(std::min<std::size_t>(
-                       static_cast<std::size_t>(s + 1) * span_,
-                       static_cast<std::size_t>(n)));
-    shards_.push_back(std::move(sh));
-  }
+  for (int s = 0; s < k; ++s) shards_.push_back(std::make_unique<Shard>());
   // Serving threads: one per shard up to the hardware clamp
   // (NORS_THREADS_OVERSUBSCRIBE=1 restores exact counts — the equivalence
   // sweep relies on shard *ranges*, never on thread count, so the clamp is
@@ -127,21 +115,54 @@ ShardedRouteServer::ShardedRouteServer(const FrozenScheme& fs,
   }
 }
 
-ShardedRouteServer::~ShardedRouteServer() {
-  // close() lets workers drain queued batches before exiting, so tickets
-  // still in flight complete; destroying the server before wait()ing on
-  // outstanding batches is nevertheless a caller bug (out may dangle).
+ShardedRouteServer::~ShardedRouteServer() { close(); }
+
+void ShardedRouteServer::close() {
+  // Closing the queues lets workers drain queued batches before exiting,
+  // so tickets still in flight complete; closing the pool before
+  // wait()ing on outstanding batches is nevertheless a caller bug (out
+  // may dangle).
   for (auto& wk : workers_) wk->queue.close();
   for (auto& wk : workers_) {
     if (wk->thread.joinable()) wk->thread.join();
   }
 }
 
+namespace {
+
+/// Vertices per shard in an image of n vertices: k contiguous ranges of
+/// ceil(n / k), the last one taking the rest.
+std::size_t span_of(int n, std::size_t k) {
+  return (static_cast<std::size_t>(std::max(1, n)) + k - 1) / k;
+}
+
+/// Out-of-range sources still map to *some* shard (negative ones —
+/// including the kNoVertex sentinel — to shard 0, too-large ones to the
+/// last), so the worker raises the same error route() would.
+int shard_for(graph::Vertex u, std::size_t span, std::size_t k) {
+  if (u < 0) return 0;
+  return static_cast<int>(std::min(static_cast<std::size_t>(u) / span, k - 1));
+}
+
+/// True when `key` was taken from `p`'s owner. A weak_ptr key keeps its
+/// control block, so no later image or overlay can share it — not even
+/// one allocated at a freed one's address — and it never keeps the
+/// object itself alive.
+template <typename T>
+bool same_owner(const std::weak_ptr<T>& key, const std::shared_ptr<T>& p) {
+  return !key.owner_before(p) && !p.owner_before(key);
+}
+
+}  // namespace
+
 void ShardedRouteServer::worker(Worker& w) {
   using clock = std::chrono::steady_clock;
-  const bool cached = opt_.cache_entries > 0;
-  std::unique_ptr<TableCache> cache;
-  if (cached) cache = std::make_unique<TableCache>(*fs_, opt_.cache_entries);
+  const bool cached = cache_entries_ > 0;
+  // The table cache, and the image and overlay it was warmed on: a batch
+  // on another image rebuilds it, one under another overlay clears it.
+  std::optional<TableCache> cache;
+  std::weak_ptr<const FrozenScheme> cache_fs;
+  std::weak_ptr<const DeltaSet> cache_delta;
   // Sub-batches run through the pipelined engine in blocks: gather up to
   // kBlock queries into a dense buffer, answer them with one route_batch
   // call (kBatchLanes in flight), scatter the decisions back to the
@@ -152,9 +173,6 @@ void ShardedRouteServer::worker(Worker& w) {
   constexpr std::size_t kBlock = 128;
   std::vector<Query> qbuf(kBlock);
   std::vector<Decision> dbuf(kBlock);
-  // Delta sequence the cache was last warmed under (0 = unpatched image):
-  // a different sequence invalidates it before the first block.
-  std::uint64_t cache_seq = 0;
   Task t;
   while (w.queue.pop(t)) {
     Shard& s = *t.shard;
@@ -166,10 +184,14 @@ void ShardedRouteServer::worker(Worker& w) {
       if (util::failpoint("serve.batch") == util::FpAction::kError) {
         throw std::runtime_error("injected failure: serve.batch failpoint");
       }
-      const std::uint64_t seq = t.delta ? t.delta->seq() : 0;
-      if (cached && seq != cache_seq) {
+      const FrozenScheme& fs = *t.fs;
+      if (cached && !same_owner(cache_fs, t.fs)) {
+        cache.emplace(fs, cache_entries_);
+        cache_fs = t.fs;
+        cache_delta = t.delta;
+      } else if (cached && !same_owner(cache_delta, t.delta)) {
         cache->clear();
-        cache_seq = seq;
+        cache_delta = t.delta;
       }
       for (std::size_t b = 0; b < idx.size(); b += kBlock) {
         const std::size_t m = std::min(kBlock, idx.size() - b);
@@ -178,20 +200,18 @@ void ShardedRouteServer::worker(Worker& w) {
         }
         BatchStats bs;
         const auto t0 = clock::now();
-        if (t.delta) {
-          if (cached) {
-            fs_->route_batch(qbuf.data(), m, dbuf.data(), *cache, *t.delta,
-                             &bs);
+        const auto answer = [&](auto& c) {
+          if (t.delta) {
+            fs.route_batch(qbuf.data(), m, dbuf.data(), c, *t.delta, &bs);
           } else {
-            NoTableCache none;
-            fs_->route_batch(qbuf.data(), m, dbuf.data(), none, *t.delta,
-                             &bs);
+            fs.route_batch(qbuf.data(), m, dbuf.data(), c, NoOverlay{}, &bs);
           }
-        } else if (cached) {
-          fs_->route_batch(qbuf.data(), m, dbuf.data(), *cache, NoOverlay{},
-                           &bs);
+        };
+        if (cached) {
+          answer(*cache);
         } else {
-          fs_->route_batch(qbuf.data(), m, dbuf.data(), &bs);
+          NoTableCache none;
+          answer(none);
         }
         const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                             clock::now() - t0)
@@ -244,8 +264,8 @@ void ShardedRouteServer::worker(Worker& w) {
 }
 
 ShardedRouteServer::Batch ShardedRouteServer::submit(
-    const Query* queries, std::size_t count, Decision* out,
-    std::shared_ptr<const DeltaSet> delta,
+    std::shared_ptr<const FrozenScheme> fs, const Query* queries,
+    std::size_t count, Decision* out, std::shared_ptr<const DeltaSet> delta,
     std::function<void()> on_complete) {
   Batch ticket;
   if (count == 0) {
@@ -254,8 +274,8 @@ ShardedRouteServer::Batch ShardedRouteServer::submit(
     if (on_complete) on_complete();
     return ticket;
   }
-  NORS_CHECK_MSG(queries != nullptr && out != nullptr,
-                 "submit() needs query and output arrays");
+  NORS_CHECK_MSG(fs != nullptr && queries != nullptr && out != nullptr,
+                 "submit() needs an image and query and output arrays");
   // Index lists are u32; a larger batch would wrap and silently corrupt
   // the answer placement, so refuse it loudly (split the batch instead).
   NORS_CHECK_MSG(count <= 0xffffffffull,
@@ -267,13 +287,10 @@ ShardedRouteServer::Batch ShardedRouteServer::submit(
   for (auto& v : state->idx) {
     v.reserve(count / shards_.size() + 1);
   }
+  // Dispatch by source vertex, over this image's ranges.
+  const std::size_t span = span_of(fs->n(), shards_.size());
   for (std::size_t i = 0; i < count; ++i) {
-    // Dispatch by source vertex. Out-of-range sources still go to *some*
-    // shard (negative ones — including the kNoVertex sentinel — to shard
-    // 0, too-large ones clamped to the last shard), so the worker raises
-    // the same error the direct route() call would.
-    const graph::Vertex u = queries[i].u;
-    const int s = u < 0 ? 0 : shard_of(u);
+    const int s = shard_for(queries[i].u, span, shards_.size());
     state->idx[static_cast<std::size_t>(s)].push_back(
         static_cast<std::uint32_t>(i));
   }
@@ -283,20 +300,24 @@ ShardedRouteServer::Batch ShardedRouteServer::submit(
     // identity, on a clamped machine several shards share a thread.
     Worker& w = *workers_[s % workers_.size()];
     w.queue.push(Task{state, shards_[s].get(), queries, out, &state->idx[s],
-                      delta});
+                      fs, delta});
   }
   return ticket;
 }
 
 void ShardedRouteServer::serve(const Query* queries, std::size_t count,
                                Decision* out) {
-  submit(queries, count, out).wait();
+  submit(fs_, queries, count, out).wait();
 }
 
 void ShardedRouteServer::serve(const std::vector<Query>& queries,
                                std::vector<Decision>& out) {
   out.resize(queries.size());
   serve(queries.data(), queries.size(), out.data());
+}
+
+int ShardedRouteServer::shard_of(graph::Vertex u) const {
+  return shard_for(u, span_of(fs_->n(), shards_.size()), shards_.size());
 }
 
 ShardStats ShardedRouteServer::shard_stats(int shard) const {

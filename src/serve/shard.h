@@ -13,7 +13,8 @@ class DeltaSet;
 
 struct ShardedOptions {
   /// Number of shards K; each shard owns a contiguous vertex range
-  /// (queries are dispatched by source vertex). Clamped to [1, n]. The
+  /// of each batch's image (queries are dispatched by source vertex).
+  /// Clamped to [1, n] of the image the pool is built with. The
   /// number of *worker threads* serving the shards is resolved separately
   /// — util::resolve_threads clamps it to the hardware concurrency
   /// (NORS_THREADS_OVERSUBSCRIBE=1 restores one thread per shard), so K
@@ -45,17 +46,22 @@ struct ShardStats {
   double p99_us = 0;
 };
 
-/// Horizontally sharded serving front-end over one FrozenScheme
-/// (DESIGN.md §8). The vertex space is partitioned into K contiguous
-/// ranges; shard s serves the queries whose *source* falls in its range,
-/// reading the shared frozen image (owned or mmap'ed — shards never copy
-/// slab data, they slice the query stream, not the tables). Shards map
-/// round-robin onto long-lived worker threads fed by lock-light batch
-/// queues — one worker per shard up to the hardware concurrency (see
+/// Horizontally sharded serving pool (DESIGN.md §8). The vertex space of
+/// each batch's image is partitioned into K contiguous ranges; shard s
+/// serves the queries whose *source* falls in its range, reading the
+/// shared frozen image (owned or mmap'ed — shards never copy slab data,
+/// they slice the query stream, not the tables). Shards map round-robin
+/// onto long-lived worker threads fed by lock-light batch queues — one
+/// worker per shard up to the hardware concurrency (see
 /// ShardedOptions::shards) — and every worker answers its sub-batches
 /// through the pipelined FrozenScheme::route_batch() engine in blocks, so
 /// aggregate throughput scales with cores while each worker's cache stays
 /// hot on its own vertex ranges.
+///
+/// The pool is not tied to one image: submit() names the image and overlay
+/// of each batch, so one pool serves every generation of a table service
+/// (net::TableService) across reloads. serve() answers on the image the
+/// pool was constructed with.
 ///
 /// submit() is async: it partitions a batch by shard, enqueues one task
 /// per shard, and returns a Batch ticket; wait() blocks until every query
@@ -71,6 +77,8 @@ struct ShardStats {
 /// still completes its accounting, so the server stays usable.
 class ShardedRouteServer {
  public:
+  /// The shard count is clamped to [1, fs.n()]. `fs` must outlive every
+  /// serve() and shard_of() call; submit() brings its own image.
   explicit ShardedRouteServer(const FrozenScheme& fs,
                               ShardedOptions opt = {});
   ~ShardedRouteServer();
@@ -99,16 +107,17 @@ class ShardedRouteServer {
   };
 
   /// Async: dispatch the batch across shard queues and return its ticket
-  /// immediately.
+  /// immediately. The batch routes on `fs`; its sub-batches pin `fs` and
+  /// `delta` until they retire, so the caller may drop both at once —
+  /// the generation-swap contract net::TableService relies on.
   ///
   /// With a `delta`, answers go through the overlay (serve/delta.h):
   /// masked trees are skipped with a fallback re-route, patched links
-  /// charge their overridden weight, and the batch pins `delta` until it
-  /// retires — the generation-swap contract net::Server relies on. A null
-  /// delta serves the unpatched image. When a worker sees a different
-  /// delta sequence than its previous batch it clears its table cache
-  /// (indices are delta-invariant today, but the invalidation is keyed by
-  /// generation, not by that implementation detail).
+  /// charge their overridden weight. A null delta serves the unpatched
+  /// image. A worker resets its table cache when a batch names a
+  /// different image or delta than the cache was warmed on (indices are
+  /// delta-invariant today, but the invalidation is keyed by generation,
+  /// not by that implementation detail).
   ///
   /// With an `on_complete` hook, it runs exactly once when every query of
   /// the batch is answered — the hook the network front-end (src/net)
@@ -120,13 +129,19 @@ class ShardedRouteServer {
   /// returns — or rethrows the first worker error — immediately). The hook
   /// is dropped as soon as it has run, so state it captures does not
   /// outlive the batch.
-  Batch submit(const Query* queries, std::size_t count, Decision* out,
+  Batch submit(std::shared_ptr<const FrozenScheme> fs, const Query* queries,
+               std::size_t count, Decision* out,
                std::shared_ptr<const DeltaSet> delta = nullptr,
                std::function<void()> on_complete = {});
 
-  /// Blocking convenience: submit + wait.
+  /// Blocking convenience on the constructor's image: submit + wait.
   void serve(const Query* queries, std::size_t count, Decision* out);
   void serve(const std::vector<Query>& queries, std::vector<Decision>& out);
+
+  /// Lets every queued batch finish, then joins the workers. Counters stay
+  /// readable; submit() afterwards is a caller bug. Idempotent; the
+  /// destructor calls it.
+  void close();
 
   int shards() const { return static_cast<int>(shards_.size()); }
 
@@ -134,20 +149,13 @@ class ShardedRouteServer {
   /// ShardedOptions::shards for the clamp rules).
   int workers() const { return static_cast<int>(workers_.size()); }
 
-  /// The shard whose vertex range contains u (valid u only).
-  int shard_of(graph::Vertex u) const {
-    const auto s = static_cast<std::size_t>(u) / span_;
-    return static_cast<int>(
-        s < shards_.size() ? s : shards_.size() - 1);
-  }
+  /// The shard whose vertex range of the constructor's image contains u.
+  int shard_of(graph::Vertex u) const;
 
   ShardStats shard_stats(int shard) const;
 
   /// Counters summed across shards; p50/p99 over the merged histograms.
   ShardStats totals() const;
-
-  const FrozenScheme& frozen() const { return *fs_; }
-  const ShardedOptions& options() const { return opt_; }
 
  private:
   struct Task;
@@ -155,9 +163,9 @@ class ShardedRouteServer {
   struct Worker;
   void worker(Worker& w);
 
-  const FrozenScheme* fs_;
-  ShardedOptions opt_;
-  std::size_t span_ = 1;  // vertices per shard (last shard takes the rest)
+  /// The constructor's image, under a non-owning pointer, for serve().
+  std::shared_ptr<const FrozenScheme> fs_;
+  int cache_entries_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<Worker>> workers_;
 };

@@ -60,8 +60,9 @@ class TableCache {
   }
 
   /// Drops every entry — the generation-swap invalidation hook: shard
-  /// workers clear when a batch arrives under a different delta sequence
-  /// than the cache was warmed on (serve/shard.cc).
+  /// workers clear when a batch arrives under a different delta overlay
+  /// than the cache was warmed on, and build a new cache for a batch on
+  /// a different image (serve/shard.cc).
   void clear() {
     std::fill(slots_.begin(), slots_.end(), Entry{kEmpty, -1});
   }

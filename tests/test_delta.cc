@@ -434,7 +434,9 @@ TEST(UpdateJournal, RejectsMalformedLinesWithLineNumbers) {
 
 TEST(ShardedDelta, SubmitWithDeltaMatchesRouteOverlay) {
   const auto g = test_graph(110, 967);
-  const auto fs = serve::FrozenScheme::freeze(build_scheme(g, 3, 31));
+  const auto fsp = std::make_shared<const serve::FrozenScheme>(
+      serve::FrozenScheme::freeze(build_scheme(g, 3, 31)));
+  const auto& fs = *fsp;
   const auto edges = all_edges(g);
   util::Rng rng(971);
 
@@ -454,7 +456,7 @@ TEST(ShardedDelta, SubmitWithDeltaMatchesRouteOverlay) {
 
   const auto qs = random_queries(g.n(), 3000, 977);
   std::vector<Decision> got(qs.size());
-  srv.submit(qs.data(), qs.size(), got.data(), ds).wait();
+  srv.submit(fsp, qs.data(), qs.size(), got.data(), ds).wait();
 
   std::int64_t want_masked = 0, want_repaired = 0;
   for (std::size_t i = 0; i < qs.size(); ++i) {
@@ -476,7 +478,7 @@ TEST(ShardedDelta, SubmitWithDeltaMatchesRouteOverlay) {
   // Null delta on the same pool: identical to the unpatched image, and a
   // delta→null transition must not serve stale cache state.
   std::vector<Decision> plain(qs.size());
-  srv.submit(qs.data(), qs.size(), plain.data(),
+  srv.submit(fsp, qs.data(), qs.size(), plain.data(),
              std::shared_ptr<const DeltaSet>{})
       .wait();
   for (std::size_t i = 0; i < qs.size(); ++i) {

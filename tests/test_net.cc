@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 
@@ -286,6 +287,28 @@ TEST(NetDrain, DrainAnswersEveryParsedFrameThenCloses) {
       << "drained server must close after the last response";
 }
 
+// The masked/repaired counters live in the one shard pool, which drain()
+// joins but keeps: the SIGTERM line reports what was served.
+TEST(NetDrain, StatsSurviveDrain) {
+  const auto g = family_graph(0, 57);
+  net::Server server(build_frozen(g, 3, 17), {});
+  std::vector<serve::EdgeUpdate> cut;
+  for (const auto& he : g.neighbors(0)) {
+    cut.push_back(serve::EdgeUpdate::fail(0, he.to));
+  }
+  server.tables().apply(cut);
+  std::vector<Query> qs;
+  for (graph::Vertex v = 1; v < g.n(); ++v) qs.push_back({0, v});
+  net::Client("127.0.0.1", server.port()).route(qs);
+
+  const auto before = server.stats();
+  ASSERT_GT(before.masked, 0);
+  server.drain();
+  const auto after = server.stats();
+  EXPECT_EQ(after.masked, before.masked);
+  EXPECT_EQ(after.repaired, before.repaired);
+}
+
 // ---- drain deadline: a wedged peer cannot hold shutdown hostage --------
 
 TEST(NetDrain, DrainForcedCloseAfterDeadlineExpires) {
@@ -368,8 +391,6 @@ TEST(NetReload, SwapNeverTearsAResponse) {
   }
   ASSERT_GT(differing, 0) << "test needs distinguishable images";
 
-  net::Server server(std::move(frozen_a), {});
-
   const auto matches = [&qs](const std::vector<Decision>& got,
                              const std::vector<Decision>& want) {
     for (std::size_t i = 0; i < qs.size(); ++i) {
@@ -384,48 +405,101 @@ TEST(NetReload, SwapNeverTearsAResponse) {
     return true;
   };
 
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn{0};
-  std::atomic<int> matched_b{0};
-  std::thread traffic([&] {
-    net::Client client("127.0.0.1", server.port());
-    while (!stop.load(std::memory_order_acquire)) {
-      // A little pipeline so frames straddle the swap.
-      client.send_route(qs.data(), qs.size());
-      client.send_route(qs.data(), qs.size());
-      for (int f = 0; f < 2; ++f) {
-        const auto got = client.recv_route();
-        if (matches(got, exp_a)) continue;
-        if (matches(got, exp_b)) {
-          matched_b.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          torn.fetch_add(1, std::memory_order_relaxed);
+  // Plain, and a cached two-shard pool: the one pool serves every image,
+  // so a worker cache warmed on one must never answer for the next.
+  net::NetServerOptions cached;
+  cached.shards = 2;
+  cached.cache_entries = 64;
+  for (const auto& opt : {net::NetServerOptions{}, cached}) {
+    SCOPED_TRACE(opt.cache_entries);
+    net::Server server(serve::FrozenScheme::load(ref_a.save()), opt);
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> torn{0};
+    std::atomic<int> matched_b{0};
+    std::thread traffic([&] {
+      net::Client client("127.0.0.1", server.port());
+      while (!stop.load(std::memory_order_acquire)) {
+        // A little pipeline so frames straddle the swap.
+        client.send_route(qs.data(), qs.size());
+        client.send_route(qs.data(), qs.size());
+        for (int f = 0; f < 2; ++f) {
+          const auto got = client.recv_route();
+          if (matches(got, exp_a)) continue;
+          if (matches(got, exp_b)) {
+            matched_b.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            torn.fetch_add(1, std::memory_order_relaxed);
+          }
         }
       }
-    }
-  });
+    });
 
-  // Swap images under live traffic, ending on B.
-  for (int swap = 0; swap < 5; ++swap) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    if (swap % 2 == 0) {
-      server.tables().reload(serve::FrozenScheme::load(frozen_b.save()));
-    } else {
-      server.tables().reload(serve::FrozenScheme::load(ref_a.save()));
+    // Swap images under live traffic, ending on B.
+    for (int swap = 0; swap < 5; ++swap) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (swap % 2 == 0) {
+        server.tables().reload(serve::FrozenScheme::load(frozen_b.save()));
+      } else {
+        server.tables().reload(serve::FrozenScheme::load(ref_a.save()));
+      }
     }
+    // Keep traffic flowing until at least one post-reload frame answered
+    // from the new image proves the swap took effect.
+    for (int spin = 0; matched_b.load() == 0 && spin < 10000; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    stop.store(true, std::memory_order_release);
+    traffic.join();
+
+    EXPECT_EQ(torn.load(), 0)
+        << "every response must match exactly one image generation";
+    EXPECT_GT(matched_b.load(), 0) << "reload must actually take effect";
+    EXPECT_EQ(server.stats().reloads, 5);
   }
-  // Keep traffic flowing until at least one post-reload frame answered
-  // from the new image proves the swap took effect.
-  for (int spin = 0; matched_b.load() == 0 && spin < 10000; ++spin) {
+}
+
+int thread_count() {
+  int n = 0;
+  if (DIR* d = ::opendir("/proc/self/task")) {
+    while (const dirent* e = ::readdir(d)) n += e->d_name[0] != '.' ? 1 : 0;
+    ::closedir(d);
+  }
+  return n;
+}
+
+// A reload swaps the image and nothing else: the replaced image is freed
+// once its last batch retires (cache keys do not pin it), and the one
+// shard pool serves every image, so reloads start no threads.
+TEST(NetReload, ReplacedImageIsFreedAndThePoolStays) {
+  const auto image = build_frozen(family_graph(0, 63), 3, 19).save();
+  net::NetServerOptions opt;
+  opt.shards = 2;
+  opt.cache_entries = 64;
+  net::Server server(serve::FrozenScheme::load(image), opt);
+  net::Client client("127.0.0.1", server.port());
+  const auto qs = random_queries(server.tables().current()->fs->n(), 256, 37);
+  client.route(qs);  // warms every worker's cache on the boot image
+
+  const std::weak_ptr<const serve::FrozenScheme> boot =
+      server.tables().current()->fs;
+  server.tables().reload(serve::FrozenScheme::load(image));
+  for (int spin = 0; !boot.expired() && spin < 5000; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  stop.store(true, std::memory_order_release);
-  traffic.join();
+  EXPECT_TRUE(boot.expired()) << "no batch holds the replaced image";
 
-  EXPECT_EQ(torn.load(), 0)
-      << "every response must match exactly one image generation";
-  EXPECT_GT(matched_b.load(), 0) << "reload must actually take effect";
-  EXPECT_EQ(server.stats().reloads, 5);
+  const auto* pool = &server.tables().pool();
+  const int workers = pool->workers();
+  const int threads = thread_count();
+  for (int i = 0; i < 10; ++i) {
+    server.tables().reload(serve::FrozenScheme::load(image));
+    client.route(qs);
+  }
+  EXPECT_EQ(&server.tables().pool(), pool);
+  EXPECT_EQ(server.tables().pool().workers(), workers);
+  EXPECT_EQ(thread_count(), threads);
+  EXPECT_EQ(server.stats().reloads, 11);
 }
 
 // ---- delta generations under load (DESIGN.md §13) -----------------------

@@ -286,6 +286,41 @@ TEST(TableService, SubscribeHandsOverTheHeadThenEveryLaterBatch) {
   }
 }
 
+// One cached pool serves every image: after each reload — to an image of
+// another size, then back — its answers equal that image's single-thread
+// route_batch, so no worker cache outlives the image it was warmed on.
+// The cache holds an image's whole working set, so a stale entry would
+// be hit.
+TEST(TableService, CachedPoolAnswersOnEachImageAcrossReloads) {
+  const auto image_a = build_frozen(test_graph(150, 193), 3, 7).save();
+  const auto image_b = build_frozen(test_graph(97, 197), 3, 7).save();
+  net::NetServerOptions opt;
+  opt.shards = 2;
+  opt.cache_entries = 4096;
+  net::TableService tables(serve::FrozenScheme::load(image_a), opt);
+  const auto expect_serves = [&](const std::vector<std::uint8_t>& image) {
+    const auto ref = serve::FrozenScheme::load(image);
+    const auto gen = tables.current();
+    ASSERT_EQ(gen->fs->n(), ref.n());
+    const auto qs = random_queries(ref.n(), 700, 199);
+    std::vector<Decision> want(qs.size());
+    ref.route_batch(qs.data(), qs.size(), want.data());
+    for (int pass = 0; pass < 2; ++pass) {  // cold, then warm caches
+      std::vector<Decision> got(qs.size());
+      tables.pool()
+          .submit(gen->fs, qs.data(), qs.size(), got.data(), gen->delta)
+          .wait();
+      expect_decisions_identical(got, want);
+    }
+  };
+  expect_serves(image_a);
+  tables.reload(serve::FrozenScheme::load(image_b));
+  expect_serves(image_b);
+  tables.reload(serve::FrozenScheme::load(image_a));
+  expect_serves(image_a);
+  EXPECT_EQ(tables.pool().totals().queries, 3 * 2 * 700);
+}
+
 TEST(Replication, MalformedReplicaOfIsRefusedAtConstruction) {
   const auto image = build_frozen(test_graph(100, 191), 2, 7).save();
   net::Server primary(serve::FrozenScheme::load(image), {});

@@ -322,7 +322,9 @@ TEST(ShardedRouteServer, AnswersLandInSubmissionOrder) {
 TEST(ShardedRouteServer, AsyncBatchesCompleteInAnyWaitOrder) {
   const auto g = test_graph(120, 6600);
   const auto s = build_scheme(g, 2, true, 53);
-  const auto f = serve::FrozenScheme::freeze(s);
+  const auto fp = std::make_shared<const serve::FrozenScheme>(
+      serve::FrozenScheme::freeze(s));
+  const auto& f = *fp;
   serve::ShardedOptions opt;
   opt.shards = 3;
   opt.cache_entries = 64;
@@ -343,7 +345,7 @@ TEST(ShardedRouteServer, AsyncBatchesCompleteInAnyWaitOrder) {
     }
     auto& q = queries[static_cast<std::size_t>(b)];
     out[static_cast<std::size_t>(b)].resize(q.size());
-    tickets.push_back(server.submit(q.data(), q.size(),
+    tickets.push_back(server.submit(fp, q.data(), q.size(),
                                     out[static_cast<std::size_t>(b)].data()));
   }
   // Wait newest-first: completion must not depend on wait order.
@@ -395,7 +397,9 @@ TEST(ShardedRouteServer, WorkerExceptionsSurfaceAtWaitAndServerSurvives) {
 TEST(ShardedRouteServer, ConcurrentProducersMatchSerialReplayAndStatsSum) {
   const auto g = test_graph(150, 6800);
   const auto s = build_scheme(g, 3, true, 67);
-  const auto f = serve::FrozenScheme::freeze(s);
+  const auto fp = std::make_shared<const serve::FrozenScheme>(
+      serve::FrozenScheme::freeze(s));
+  const auto& f = *fp;
   serve::ShardedOptions opt;
   opt.shards = 4;
   opt.cache_entries = 128;
@@ -430,7 +434,7 @@ TEST(ShardedRouteServer, ConcurrentProducersMatchSerialReplayAndStatsSum) {
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([p, &server, &queries, &out, &bounds] {
+    producers.emplace_back([p, &fp, &server, &queries, &out, &bounds] {
       const auto& q = queries[static_cast<std::size_t>(p)];
       const auto& cut = bounds[static_cast<std::size_t>(p)];
       auto* o = out[static_cast<std::size_t>(p)].data();
@@ -439,8 +443,8 @@ TEST(ShardedRouteServer, ConcurrentProducersMatchSerialReplayAndStatsSum) {
         const std::size_t lo = cut[b], hi = cut[b + 1];
         if (b + 2 < cut.size()) {
           const std::size_t hi2 = cut[b + 2];
-          auto t1 = server.submit(q.data() + lo, hi - lo, o + lo);
-          auto t2 = server.submit(q.data() + hi, hi2 - hi, o + hi);
+          auto t1 = server.submit(fp, q.data() + lo, hi - lo, o + lo);
+          auto t2 = server.submit(fp, q.data() + hi, hi2 - hi, o + hi);
           t2.wait();
           t1.wait();
         } else {
